@@ -4,8 +4,9 @@ The killed heat flow of an eigenfunction
 
 With eigenfunction data on a nodal domain, the Dirichlet heat evolution is
 exactly exp(-lambda t) u.  Both backends reproduce it: the deterministic
-finite-difference solver to O(h^2 + dt^2), the Feynman-Kac path estimator
-to Monte Carlo accuracy.
+finite-difference solver to O(h^2) (the torus sign cell is a square, which
+the solver takes exactly in time), the Feynman-Kac path estimator to Monte
+Carlo accuracy.
 """
 
 import numpy as np

@@ -51,7 +51,6 @@ from .stochastic import (
 __all__ = [
     "TubeSpec",
     "CorridorSpec",
-    "CrossingCover",
     "CheckResult",
     "ExperimentReport",
     "check_comparison_lemma",
@@ -167,19 +166,6 @@ class CorridorSpec:
             raise InvalidParameterError("lam_geom must exceed 1")
         if self.n_covered < 4 or self.n_margin < 1:
             raise InvalidParameterError("need at least 4 covered and 1 margin squares")
-
-
-@dataclass
-class CrossingCover:
-    """Covering squares with measured transition statistics."""
-
-    alpha: float
-    side: float
-    x_edges: np.ndarray                   # covered-square edges, len n+1
-    p_boundary: np.ndarray                # per square
-    p_transition: np.ndarray              # (n, n)
-    p_exit: np.ndarray                    # per square
-    sups: np.ndarray                      # sup |u| per square
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +711,6 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
     rep.notes.append("horizon convention: t = width^2 (the diffusive square "
                      "scale); an exponentially small alternative horizon is "
                      "sometimes quoted for this construction and is not used")
-    cover = CrossingCover(alpha=alpha, side=w, x_edges=edges, p_boundary=p_b,
-                          p_transition=p_ij, p_exit=p_ie, sups=sups)
-    rep.cover = cover
     return rep
 
 

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import bounds
-from .errors import InvalidParameterError
+from .errors import EmptyDomainError, InvalidParameterError
 from .fields import (
     make_cone_model,
     make_disk_eigenfunction,
@@ -147,16 +147,25 @@ def emit_report(report, out_dir: str, emit_fields: bool = False) -> list:
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def _grid_for(model, n):
-    return grid_for_model(model, n)
-
-
 def _mask_label(model, n, domain_index):
-    grid = _grid_for(model, n)
+    grid = grid_for_model(model, n)
     field = sample_field(model, grid)
     mask = label_nodal_domains(field)
-    label = domain_index + 1
-    return grid, field, mask, label
+    if not 0 <= domain_index < mask.n_labels:
+        raise InvalidParameterError(
+            f"--domain {domain_index} is not in 0..{mask.n_labels - 1}")
+    return grid, field, mask, domain_index + 1
+
+
+def _eigen_time(ns, model) -> float:
+    """--t if given, else 1/lambda; a harmonic model (lambda = 0) needs --t."""
+    if ns.t:
+        return ns.t
+    if model.eigenvalue <= 0:
+        raise InvalidParameterError(
+            f"model {ns.model} has lambda = 0, so there is no default "
+            "t = 1/lambda; pass --t")
+    return 1.0 / model.eigenvalue
 
 
 def run_heat_content(ns) -> bounds.ExperimentReport:
@@ -201,7 +210,7 @@ def run_heat_content(ns) -> bounds.ExperimentReport:
 def run_comparison(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     _, _, mask, label = _mask_label(model, ns.grid, ns.domain)
-    t = ns.t if ns.t else 1.0 / model.eigenvalue
+    t = _eigen_time(ns, model)
     cfg = _path_cfg(ns, t, 200)
     return bounds.check_comparison_lemma(model, mask, label, None, t, cfg)
 
@@ -218,7 +227,7 @@ def run_theorem1(ns) -> bounds.ExperimentReport:
     ratio_mins, ratio_maxs = [], []
     for m in modes:
         model = make_torus_eigenfunction(m, m)
-        grid = _grid_for(model, ns.grid)
+        grid = grid_for_model(model, ns.grid)
         sub = bounds.theorem1_certificate(model, grid, n_steps=ns.steps)
         c = sub.constants
         rows.append((m, model.eigenvalue, c["nodal_length"],
@@ -270,7 +279,7 @@ def run_theorem1(ns) -> bounds.ExperimentReport:
 def run_max_point(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     _, _, mask, label = _mask_label(model, ns.grid, ns.domain)
-    t = ns.t if ns.t else 1.0 / model.eigenvalue
+    t = _eigen_time(ns, model)
     cfg = _path_cfg(ns, t, 200)
     return bounds.max_point_survival(model, mask, label, t, cfg, n_steps=ns.steps)
 
@@ -278,6 +287,10 @@ def run_max_point(ns) -> bounds.ExperimentReport:
 def run_thin_domain(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     lam = model.eigenvalue
+    if lam <= 0:
+        raise InvalidParameterError(
+            f"model {ns.model} has lambda = 0; thin-domain sizes its tube "
+            "as c/sqrt(lambda)")
     tube = bounds.TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)),
                            half_width=ns.c / math.sqrt(lam))
     t = ns.t if ns.t else 1.0 / lam
@@ -323,7 +336,7 @@ def run_isoperimetry(ns) -> bounds.ExperimentReport:
 
 def run_global_survival(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
-    grid = _grid_for(model, ns.grid)
+    grid = grid_for_model(model, ns.grid)
     cfg = None
     if ns.paths:
         cfg = PathEnsembleConfig(n_paths=ns.paths, dt=ns.dt, seed=ns.seed,
@@ -337,7 +350,7 @@ def run_global_survival(ns) -> bounds.ExperimentReport:
 def run_ball_search(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     _, _, mask, label = _mask_label(model, ns.grid, ns.domain)
-    t = ns.t if ns.t else 1.0 / model.eigenvalue
+    t = _eigen_time(ns, model)
     return bounds.ball_intersection_search(mask, label, t, c1=ns.c1,
                                            n_steps=ns.steps)
 
@@ -470,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=True)
         sp.add_argument("--out", default="out")
         sp.add_argument("--emit-fields", action="store_true")
-        sp.add_argument("--steps", type=int, default=96)
+        sp.add_argument("--steps", type=int, default=96,
+                        help="ADI time steps (at least 10); rectangle domains "
+                             "are solved exactly in time and ignore it")
         sp.add_argument("--t", type=float, default=None)
         sp.add_argument("--quick", action="store_true")
         sp.add_argument("--threads", type=int, default=1)
@@ -539,7 +554,7 @@ def main(argv=None) -> int:
         paths = emit_report(rep, ns.out, emit_fields=ns.emit_fields)
         print(f"[{rep.verdict.upper()}] {rep.name}: " + ", ".join(paths))
         return 0 if rep.verdict in ("pass", "report-only") else 1
-    except (InvalidParameterError, OSError) as exc:
+    except (InvalidParameterError, EmptyDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

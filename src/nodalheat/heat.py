@@ -1,13 +1,21 @@
 """Deterministic finite-difference solvers for killed heat flow on masked grids.
 
 The PDE is u_t = Laplace(u) (diffusivity 1, matching Brownian increments of
-variance 2 dt per coordinate).  Time stepping is Crank-Nicolson realized as a
-Peaceman-Rachford directional split with the first two steps done as split
-implicit-Euler half-steps to damp the discontinuous start data.  Each
-directional solve is a direct banded (Thomas) solve, batched over all
-in-domain runs of equal length, so the cost per step is O(cells) with no
-iteration tolerances anywhere.  Solid-rectangle domains take a sliced fast
-path with one banded solve per direction per step.
+variance 2 dt per coordinate), discretized by the five-point Laplacian on
+the cell centers.  Each domain shape has one solver:
+
+- Solid axis-aligned rectangles of cells (unit squares, torus sign cells,
+  corridor strips) are exact in time.  The DST-II diagonalizes the
+  face-anchored Dirichlet operator, so exp(t L) is one forward transform, a
+  diagonal decay exp(-t lambda_y) x exp(-t lambda_x) and one inverse
+  transform, whatever t is; n_steps plays no part.
+- Every other mask is stepped with Crank-Nicolson realized as a
+  Peaceman-Rachford directional split, the first two steps done as split
+  implicit-Euler half-steps to damp the discontinuous start data.  Each
+  directional solve is a direct SPD tridiagonal solve (LAPACK pttrs),
+  factored once per run length and step size and batched over all
+  in-domain runs of that length, so the cost per step is O(cells) with no
+  iteration tolerances anywhere.
 
 Dirichlet data is anchored at cell faces via ghost extrapolation
 (ghost = 2 g - u), so the absorbing wall sits exactly on the boundary of the
@@ -19,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.fft import dstn, idstn
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EmptyDomainError, InvalidParameterError, SolverError
 from .nodal import DomainMask, GridSpec, ScalarField
@@ -84,24 +93,53 @@ def _runs_1d(row: np.ndarray, periodic: bool):
     return [(int(s), int(e - s), False) for s, e in zip(starts, ends)]
 
 
-def _banded_matrix(ln: int, theta: float, dirichlet_ends: bool) -> np.ndarray:
-    ab = np.zeros((3, ln))
-    ab[0, 1:] = -theta
-    ab[1, :] = 1 + 2 * theta
-    ab[2, :-1] = -theta
-    if dirichlet_ends:
-        ab[1, 0] = ab[1, -1] = 1 + 3 * theta
-    return ab
+def _dirichlet_decay(n: int, h: float, duration: float) -> np.ndarray:
+    """exp(-duration lambda_k) for the DST-II modes k = 1..n of one axis.
+
+    lambda_k = 4/h^2 sin^2(pi k / 2n) are the eigenvalues of minus the
+    face-anchored Dirichlet second difference on n cell centers.
+    """
+    k = np.arange(1, n + 1)
+    return np.exp(-duration * (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2)
+
+
+def _pt_factor(ln: int, theta: float, cyclic: bool):
+    """LDL^T factors of the SPD tridiagonal (I - theta L) on one run of ln cells.
+
+    Dirichlet runs have the face-anchored 1 + 3 theta end rows; cyclic runs
+    get the Sherman-Morrison corrected corners used by _solve_cyclic.
+    """
+    diag = 1 + 2 * theta
+    d = np.full(ln, diag)
+    if cyclic:
+        d[0] = 2 * diag                        # diag - gamma, gamma = -diag
+        d[-1] = diag + theta * theta / diag    # diag - off^2 / gamma
+    else:
+        d[0] = d[-1] = 1 + 3 * theta
+    d, e, info = dpttrf(d, np.full(ln - 1, -theta))
+    if info != 0:   # pragma: no cover - the matrix is diagonally dominant
+        raise SolverError(f"tridiagonal factorization failed for run length {ln}: info {info}")
+    return d, e
+
+
+def _pt_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored system for every row of rhs (consumed)."""
+    d, e = factor
+    sol, info = dpttrs(d, e, rhs.T, overwrite_b=True)
+    if info != 0:   # pragma: no cover
+        raise SolverError(f"tridiagonal solve failed: info {info}")
+    return sol.T
 
 
 class _AdiPlan:
-    """Index plan for run-batched directional operators on one domain.
+    """Solver plan for one domain.
 
-    A solid axis-aligned rectangle of cells (the common case: unit squares,
-    torus quarter cells, corridor strips) is detected and served by pure
-    slicing; everything else goes through gather/scatter groups keyed by run
-    length.  All operators mutate the working array in place; cells outside
-    the domain are never touched and keep the boundary value.
+    A solid axis-aligned rectangle of cells is served by the exact DST
+    propagator on its bounding slice; everything else goes through
+    gather/scatter groups keyed by run length, with the tridiagonal factors
+    of the current step size cached per run length.  All operators mutate
+    the working array in place; cells outside the domain are never touched
+    and keep the boundary value.
     """
 
     def __init__(self, inmask: np.ndarray, grid: GridSpec):
@@ -110,6 +148,7 @@ class _AdiPlan:
         self.rect = self._detect_rectangle(inmask, grid)
         self.groups = {"x": {}, "y": {}}
         self.cyclic = {"x": {}, "y": {}}
+        self._factors = {}
         if self.rect is not None:
             return
         ny, nx = inmask.shape
@@ -141,25 +180,34 @@ class _AdiPlan:
             return None
         return (y0, y1, x0, x1)
 
+    # -- exact exp(duration L) on a rectangle, Dirichlet value g --------------
+
+    def apply_exact(self, u2: np.ndarray, g: float, duration: float):
+        y0, y1, x0, x1 = self.rect
+        blk = u2[y0:y1, x0:x1]
+        h = self.grid.h
+        coef = dstn(blk - g, type=2, norm="ortho", overwrite_x=True)
+        coef *= _dirichlet_decay(y1 - y0, h, duration)[:, None]
+        coef *= _dirichlet_decay(x1 - x0, h, duration)
+        blk[:] = idstn(coef, type=2, norm="ortho", overwrite_x=True)
+        blk += g
+
+    # -- tridiagonal factors, one step size at a time -------------------------
+
+    def _factor(self, ln: int, theta: float, cyclic: bool):
+        per = self._factors.get(theta)
+        if per is None:
+            # keep only the current step size: each leg of a curve has its own
+            per = {}
+            self._factors = {theta: per}
+        key = (ln, cyclic)
+        if key not in per:
+            per[key] = _pt_factor(ln, theta, cyclic)
+        return per[key]
+
     # -- explicit (I + theta L) with face-anchored Dirichlet value g ---------
 
     def apply_explicit(self, u2: np.ndarray, theta: float, g: float, axis: str):
-        if self.rect is not None:
-            y0, y1, x0, x1 = self.rect
-            blk = u2[y0:y1, x0:x1]
-            res = np.empty_like(blk)
-            if axis == "x":
-                res[:, 1:-1] = blk[:, 1:-1] + theta * (
-                    blk[:, 2:] - 2 * blk[:, 1:-1] + blk[:, :-2])
-                res[:, 0] = blk[:, 0] + theta * (blk[:, 1] - 3 * blk[:, 0] + 2 * g)
-                res[:, -1] = blk[:, -1] + theta * (blk[:, -2] - 3 * blk[:, -1] + 2 * g)
-            else:
-                res[1:-1, :] = blk[1:-1, :] + theta * (
-                    blk[2:, :] - 2 * blk[1:-1, :] + blk[:-2, :])
-                res[0, :] = blk[0, :] + theta * (blk[1, :] - 3 * blk[0, :] + 2 * g)
-                res[-1, :] = blk[-1, :] + theta * (blk[-2, :] - 3 * blk[-1, :] + 2 * g)
-            blk[:] = res
-            return
         u = u2.reshape(-1)
         for ln, idx in self.groups[axis].items():
             gth = u[idx]
@@ -180,20 +228,6 @@ class _AdiPlan:
     # -- implicit (I - theta L) x = b, solved in place ------------------------
 
     def solve_implicit(self, u2: np.ndarray, theta: float, g: float, axis: str):
-        if self.rect is not None:
-            y0, y1, x0, x1 = self.rect
-            blk = u2[y0:y1, x0:x1]
-            if axis == "x":
-                blk[:, 0] += 2 * theta * g
-                blk[:, -1] += 2 * theta * g
-                ab = _banded_matrix(blk.shape[1], theta, True)
-                blk[:] = solve_banded((1, 1), ab, blk.T, overwrite_ab=True).T
-            else:
-                blk[0, :] += 2 * theta * g
-                blk[-1, :] += 2 * theta * g
-                ab = _banded_matrix(blk.shape[0], theta, True)
-                blk[:] = solve_banded((1, 1), ab, blk, overwrite_ab=True)
-            return
         u = u2.reshape(-1)
         for ln, idx in self.groups[axis].items():
             rhs = u[idx]
@@ -202,18 +236,18 @@ class _AdiPlan:
                 continue
             rhs[:, 0] += 2 * theta * g
             rhs[:, -1] += 2 * theta * g
-            ab = _banded_matrix(ln, theta, True)
-            try:
-                sol = solve_banded((1, 1), ab, rhs.T, overwrite_ab=True, overwrite_b=True)
-            except np.linalg.LinAlgError as exc:   # pragma: no cover
-                raise SolverError(f"banded solve failed for run length {ln}: {exc}")
-            u[idx] = sol.T
+            u[idx] = _pt_solve(self._factor(ln, theta, False), rhs)
         for ln, idx in self.cyclic[axis].items():
-            u[idx] = _solve_cyclic(u[idx], theta)
+            factor = self._factor(ln, theta, True) if ln > 2 else None
+            u[idx] = _solve_cyclic(u[idx], theta, factor)
 
 
-def _solve_cyclic(rhs: np.ndarray, theta: float):
-    """Batched cyclic tridiagonal solve via Sherman-Morrison."""
+def _solve_cyclic(rhs: np.ndarray, theta: float, factor):
+    """Batched cyclic tridiagonal solve via Sherman-Morrison.
+
+    factor is _pt_factor(n, theta, cyclic=True); rings of one or two cells
+    are solved directly and take None.
+    """
     n = rhs.shape[1]
     if n == 1:
         return rhs.copy()
@@ -228,17 +262,10 @@ def _solve_cyclic(rhs: np.ndarray, theta: float):
     diag = 1 + 2 * theta
     off = -theta
     gamma = -diag
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    ab[2, :-1] = off
-    ab[1, 0] = diag - gamma
-    ab[1, -1] = diag - off * off / gamma
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = off
-    stacked = np.concatenate([rhs, u[None, :]], axis=0)
-    sol = solve_banded((1, 1), ab, stacked.T).T
+    sol = _pt_solve(factor, np.concatenate([rhs, u[None, :]], axis=0))
     y = sol[:-1]
     z = sol[-1]
     vy = y[:, 0] + (off / gamma) * y[:, -1]
@@ -248,8 +275,15 @@ def _solve_cyclic(rhs: np.ndarray, theta: float):
 
 def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
             n_steps: int, startup: bool = True):
-    """Advance the masked heat equation by duration, mutating u2 in place."""
+    """Advance the masked heat equation by duration, mutating u2 in place.
+
+    Rectangles take the exact propagator; n_steps and startup only shape
+    the ADI stepping of other masks.
+    """
     if duration == 0 or n_steps == 0:
+        return
+    if plan.rect is not None:
+        plan.apply_exact(u2, g, duration)
         return
     dt = duration / n_steps
     h = plan.grid.h
@@ -286,7 +320,9 @@ def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 1
     """Field of boundary-hitting probabilities p_t on one nodal domain.
 
     Solves u_t = Laplace(u), u = 1 on the absorbing cells, u(0) = 0, and
-    clips the result to [0, 1], recording the clip magnitudes.
+    clips the result to [0, 1], recording the clip magnitudes.  n_steps
+    (at least 10) is the number of ADI steps on general masks; rectangles
+    are solved exactly in time and only validate it.
     """
     if t < 0:
         raise InvalidParameterError("t must be nonnegative")
@@ -308,7 +344,7 @@ def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 1
 
 
 def heat_content(mask: DomainMask, label: int, t: float, n_steps: int = 128) -> float:
-    """Area-weighted integral of p_t over the domain."""
+    """Area-weighted integral of p_t over the domain (n_steps as in solve_hitting_field)."""
     fld = solve_hitting_field(mask, label, t, n_steps)
     sel = mask.cells(label)
     return float(fld.values[sel].sum() * mask.grid.h ** 2)
@@ -318,8 +354,9 @@ def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128)
     """Heat content at each time plus the c * sqrt(t) least-squares slope.
 
     One evolution visits the ascending times (the flow is autonomous, so
-    continuing from a snapshot is exact); each leg between consecutive
-    times is stepped with n_steps/4 Peaceman-Rachford steps.  The fit is
+    continuing from a snapshot is exact).  Rectangles take each leg exactly
+    in time; on other masks the first leg gets n_steps ADI steps and each
+    later leg max(10, n_steps/4) Peaceman-Rachford steps.  The fit is
     constrained through the origin with weights 1/sqrt(t), i.e. equal
     relative weight across the decade; r^2 is reported against the fit.
     """
@@ -376,7 +413,9 @@ def dirichlet_semigroup_field(model, mask: DomainMask, label: int, t: float,
     """Killed heat evolution of the eigenfunction data on one nodal domain.
 
     For eigenfunction data this must reproduce exp(-lambda t) u up to
-    O(h^2 + dt^2).  Cells outside the domain are zero.
+    O(h^2) on rectangles, which are exact in time, and O(h^2 + dt^2) on
+    other masks, which take n_steps ADI steps (at least 10).  Cells outside
+    the domain are zero.
     """
     if t < 0:
         raise InvalidParameterError("t must be nonnegative")

@@ -523,32 +523,22 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
                    np.where(same_sign, combined[-1, :], 0))
 
     roots = np.array([find(i) for i in range(n_raw + 1)])
-    merged = roots[combined]
+    merged = roots[combined].ravel()
 
     # canonical relabel: order by first raster occurrence
-    flat = merged.ravel()
-    nonzero = flat > 0
-    order = np.full(n_raw + 1, -1, dtype=np.int64)
-    next_label = 0
-    labels_flat = np.zeros(flat.shape, dtype=np.int32)
-    first_idx = {}
-    for pos_i in np.flatnonzero(nonzero):
-        r = flat[pos_i]
-        if order[r] < 0:
-            next_label += 1
-            order[r] = next_label
-            first_idx[next_label] = pos_i
-        labels_flat[pos_i] = order[r]
-    labels = labels_flat.reshape(v.shape)
-    n_labels = next_label
+    found, first = np.unique(merged, return_index=True)
+    in_domain = found > 0
+    order = np.argsort(first[in_domain])
+    first_idx = first[in_domain][order]
+    n_labels = int(first_idx.size)
+    relabel = np.zeros(n_raw + 1, dtype=np.int32)
+    relabel[found[in_domain][order]] = np.arange(1, n_labels + 1, dtype=np.int32)
+    labels = relabel[merged].reshape(v.shape)
 
     signs = np.zeros(n_labels + 1, dtype=np.int8)
-    areas = np.zeros(n_labels + 1, dtype=float)
-    cell_area = grid.h ** 2
-    for k in range(1, n_labels + 1):
-        iy, ix = np.unravel_index(first_idx[k], v.shape)
-        signs[k] = 1 if v[iy, ix] > 0 else -1
-        areas[k] = np.count_nonzero(labels == k) * cell_area
+    signs[1:] = np.where(v.ravel()[first_idx] > 0, 1, -1)
+    areas = np.bincount(labels.ravel(), minlength=n_labels + 1) * grid.h ** 2
+    areas[0] = 0.0
 
     return DomainMask(grid=grid, labels=labels, signs=signs, areas=areas,
                       field_values=v.copy(), n_labels=n_labels, zero_cells=zero_cells)

@@ -45,7 +45,6 @@ _TAG_GRID = 1
 _TAG_LINE = 2
 _TAG_INTERVAL = 3
 _TAG_CONE = 4
-_TAG_SCATTER = 5
 
 CONE_DEFAULT_DT = 2e-4
 _TINY_GRAD = 1e-300
@@ -452,8 +451,3 @@ def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:
         k += kb
     return McEstimate.from_samples(success.astype(float))
 
-
-def scatter_uniform(rng_seed: int, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Deterministic uniform start points in a box, for ensemble experiments."""
-    rng = _step_rng(rng_seed, _TAG_SCATTER, 0)
-    return lo + rng.random((n, lo.size)) * (hi - lo)

@@ -63,6 +63,28 @@ class TestExitCodes:
         assert "verdict = fail" in text
         assert "impossible = FAIL" in text
 
+    def _usage_error(self, capsys, argv, tmp_path):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_unknown_domain(self, capsys, tmp_path):
+        err = self._usage_error(capsys, ["heat-content", "--grid", "64",
+                                         "--times", "1e-4:1e-3:4", "--steps", "24",
+                                         "--domain", "99"], tmp_path)
+        assert "--domain 99" in err
+
+    def test_empty_domain(self, capsys, tmp_path):
+        # at grid 8 a torus sign cell is 4 x 4 cells, none 3 cells from its boundary
+        self._usage_error(capsys, ["comparison", "--grid", "8", "--paths", "100"],
+                          tmp_path)
+
+    def test_harmonic_model_needs_t(self, capsys, tmp_path):
+        err = self._usage_error(capsys, ["max-point", "--model", "cone:2",
+                                         "--grid", "64", "--paths", "100"], tmp_path)
+        assert "--t" in err
+
     def test_unwritable_out(self, monkeypatch):
         rc = cli.main(["cone", "--alpha", "1.5", "--r", "2", "--paths", "200",
                        "--dt", "2e-3", "--out", "/proc/nope/dir"])

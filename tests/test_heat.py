@@ -81,14 +81,42 @@ class TestHittingField:
         assert fld.values.min() >= 0.0 and fld.values.max() <= 1.0
         assert fld.clip_low <= 1e-8 and fld.clip_high <= 1e-8
 
-    def test_complement_identity(self):
-        # p_t = 1 - (killed evolution of the constant 1), same engine
-        mask = unit_square_mask(96)
+    @pytest.mark.parametrize("shape", ["square", "ell"])
+    def test_complement_identity(self, shape):
+        # p_t = 1 - (killed evolution of the constant 1), same engine: the
+        # exact rectangle propagator on the square, ADI on the ell
+        if shape == "square":
+            mask, label = unit_square_mask(96), 1
+        else:
+            grid = nh.GridSpec(nx=512, ny=512)
+            mask = nh.label_nodal_domains(
+                nh.indicator_field(grid, lambda x, y: (x < 0.5) | (y < 0.5)))
+            label = nh.nodal.principal_label(mask, 1)
         t = 2e-3
-        p = solve_hitting_field(mask, 1, t, n_steps=48)
-        w = dirichlet_semigroup_field(ConstantModel(1.0), mask, 1, t, n_steps=48)
-        sel = mask.cells(1)
+        p = solve_hitting_field(mask, label, t, n_steps=48)
+        w = dirichlet_semigroup_field(ConstantModel(1.0), mask, label, t, n_steps=48)
+        sel = mask.cells(label)
         assert np.abs(p.values[sel] - (1 - w.values[sel])).max() < 1e-12
+
+    def test_cylinder_strip_matches_two_walls(self):
+        # a full-width strip on an x-periodic grid is a cylinder: its x runs
+        # wrap around (cyclic solves) and the hitting field is the 1-D
+        # two-wall law in y, independent of x, up to the O(h^2) stair error
+        t = 4e-3
+        errs = []
+        for n in (64, 128):
+            grid = nh.GridSpec(nx=n, ny=n, periodic_x=True)
+            mask = nh.label_nodal_domains(
+                nh.indicator_field(grid, lambda x, y: (y > 0.25) & (y < 0.75)))
+            label = nh.nodal.principal_label(mask, 1)
+            assert mask.area(label) == pytest.approx(0.5, rel=1e-12)
+            fld = solve_hitting_field(mask, label, t, n_steps=64)
+            rows = fld.values[n // 4:3 * n // 4]
+            assert np.ptp(rows, axis=1).max() <= 1e-12
+            y = grid.ys[n // 4:3 * n // 4] - 0.25
+            errs.append(np.abs(rows[:, 0] - two_wall_hit(y, t, 0.5)).max())
+        assert errs[1] <= 0.3 * errs[0]
+        assert errs[1] <= 1e-3
 
     def test_bad_steps(self):
         mask = unit_square_mask(32)
@@ -194,7 +222,38 @@ class TestContentCurve:
             heat_content_curve(mask, 1, [0.1, 0.2, 0.5, 1.1], n_steps=32)
 
 
+class DstMode:
+    """Product of sines that is an exact DST-II mode of the cell-centered grid."""
+
+    def __init__(self, kx, ky, width, height):
+        self.kx, self.ky, self.width, self.height = kx, ky, width, height
+
+    def evaluate(self, x, y):
+        return (np.sin(self.kx * np.pi * np.asarray(x) / self.width)
+                * np.sin(self.ky * np.pi * np.asarray(y) / self.height))
+
+
 class TestSemigroup:
+    def test_rectangle_exact_in_time(self):
+        # on a solid rectangle the solver applies exp(t L_h) exactly: a
+        # discrete DST-II mode decays by exp(-lambda_h t) whatever n_steps is
+        nx, ny = 48, 80
+        grid = nh.GridSpec(nx=nx, ny=ny, extent_x=0.6, extent_y=1.0)
+        mask = nh.label_nodal_domains(
+            nh.indicator_field(grid, lambda x, y: np.ones_like(x, dtype=bool)))
+        kx, ky = 3, 5
+        mode = DstMode(kx, ky, 0.6, 1.0)
+        h = grid.h
+        lam_h = (4 / h ** 2) * (np.sin(np.pi * kx / (2 * nx)) ** 2
+                                + np.sin(np.pi * ky / (2 * ny)) ** 2)
+        t = 1e-3
+        coarse = dirichlet_semigroup_field(mode, mask, 1, t, n_steps=10)
+        fine = dirichlet_semigroup_field(mode, mask, 1, t, n_steps=400)
+        xs, ys = grid.cell_center_mesh()
+        target = np.exp(-lam_h * t) * mode.evaluate(xs, ys)
+        assert np.abs(coarse.values - target).max() <= 1e-12 * np.abs(target).max()
+        assert np.array_equal(coarse.values, fine.values)
+
     def test_explicit_solution(self, torus11, torus11_mask_256):
         field, mask = torus11_mask_256
         lam = torus11.eigenvalue

@@ -136,6 +136,47 @@ class TestLabeling:
                       mask.labels[f.values > 0]}
         assert len(pos_labels) == 1
 
+    @pytest.mark.parametrize("periodic", [(False, False), (True, False), (True, True)])
+    def test_matches_flood_fill_reference(self, periodic):
+        # labels, signs and areas equal a plain flood fill that numbers the
+        # domains in raster order of their first cell, seams included
+        ny, nx = 24, 36
+        grid = nh.GridSpec(nx=nx, ny=ny, extent_x=1.5, periodic_x=periodic[0],
+                           periodic_y=periodic[1])
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((ny, nx))
+        v[rng.random((ny, nx)) < 0.05] = 0.0
+        mask = nh.label_nodal_domains(nh.ScalarField(grid=grid, values=v))
+
+        ref = np.zeros((ny, nx), dtype=np.int32)
+        signs, counts = [0], [0]
+        for iy in range(ny):
+            for ix in range(nx):
+                if v[iy, ix] == 0 or ref[iy, ix]:
+                    continue
+                sgn = 1 if v[iy, ix] > 0 else -1
+                signs.append(sgn)
+                counts.append(0)
+                ref[iy, ix] = len(signs) - 1
+                stack = [(iy, ix)]
+                while stack:
+                    cy, cx = stack.pop()
+                    counts[-1] += 1
+                    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                        qy, qx = cy + dy, cx + dx
+                        if periodic[0]:
+                            qx %= nx
+                        if periodic[1]:
+                            qy %= ny
+                        if (0 <= qy < ny and 0 <= qx < nx and not ref[qy, qx]
+                                and v[qy, qx] * sgn > 0):
+                            ref[qy, qx] = len(signs) - 1
+                            stack.append((qy, qx))
+        assert np.array_equal(mask.labels, ref)
+        assert mask.labels.dtype == np.int32
+        assert mask.signs.tolist() == signs
+        assert mask.areas.tolist() == [c * grid.h ** 2 for c in counts]
+
     def test_unknown_label(self, torus11_mask_128):
         _, mask = torus11_mask_128
         with pytest.raises(UnknownLabelError):
