@@ -37,6 +37,8 @@ from .stochastic import (
     ConeSpec,
     McEstimate,
     PathEnsembleConfig,
+    _STREAMS,
+    _cone_walk,
     _steps_for,
     _step_rng,
     cone_exit_exact,
@@ -65,9 +67,6 @@ __all__ = [
     "default_isoperimetry_family",
     "mc_probability_allowance",
 ]
-
-_TAG_POINTS = 7
-_TAG_CORRIDOR = 6
 
 HALFPLANE_CONSTANT = 2 / math.sqrt(math.pi)     # heat content slope per unit wall
 
@@ -181,7 +180,7 @@ def _interior_points(mask: DomainMask, label: int, count: int, seed: int,
     iy, ix = np.nonzero(ok)
     if iy.size == 0:
         raise EmptyDomainError("domain has no cells away from its boundary")
-    rng = _step_rng(seed, _TAG_POINTS, 0)
+    rng = _step_rng(seed, _STREAMS["points"], 0)
     pick = rng.choice(iy.size, size=min(count, iy.size), replace=False)
     xs = grid.x0 + (ix[pick] + 0.5) * grid.h
     ys = grid.y0 + (iy[pick] + 0.5) * grid.h
@@ -516,7 +515,7 @@ def _corridor_walk(starts: np.ndarray, box_l: float, box_w: float, t: float,
     n = pos.shape[0]
     resample_every = 20
     for k in range(n_steps):
-        rng = _step_rng(cfg.seed, _TAG_CORRIDOR, (salt << 32) | k)
+        rng = _step_rng(cfg.seed, _STREAMS["corridor"], (salt << 32) | k)
         zx = rng.standard_normal(n)
         uy = rng.random(n)
         x0 = pos[:, 0]
@@ -594,7 +593,7 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
     diamond_rows = []
 
     for i in range(n_cov):
-        rng = _step_rng(cfg.seed, _TAG_CORRIDOR, (1 << 55) | i)
+        rng = _step_rng(cfg.seed, _STREAMS["corridor_starts"], i)
         starts = np.column_stack([
             edges[i] + w * rng.random(n),
             w * rng.random(n),
@@ -720,36 +719,14 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
 
 def _wedge_fk_survival(k_order: int, s: float, t: float, cfg: PathEnsembleConfig):
     """Killed-evolution value and survival from (s, 0) in the sector W(pi/k)."""
-    from .stochastic import _cone_events
-    beta = math.pi / (2 * k_order)
-    ux, uy = math.cos(beta), math.sin(beta)
     # the horizon scales with the apex distance, so the step must too;
     # cfg.dt governs only the exit-law simulation
-    cfg_eff = replace(cfg, dt=t / 500)
-    n_steps, dt = _steps_for(t, cfg_eff)
-    sigma = math.sqrt(2 * dt)
-    pos = np.zeros((cfg.n_paths, 2))
-    pos[:, 0] = s
-    rad = np.full(cfg.n_paths, s)
-    alive_mask = np.ones(cfg.n_paths, dtype=bool)
-    alive = np.flatnonzero(alive_mask)
-    for k in range(n_steps):
-        if alive.size == 0:
-            break
-        rng = _step_rng(cfg.seed, _TAG_CORRIDOR, (1 << 54) | k)
-        m = alive.size
-        new = pos[alive] + rng.standard_normal((m, 2)) * sigma
-        u = rng.random((m, 2))
-        dead, _, rad_new = _cone_events(pos[alive], new, rad[alive],
-                                        u[:, 0], u[:, 1], ux, uy,
-                                        np.inf, dt, cfg.bridge_correction)
-        pos[alive] = new
-        rad[alive] = rad_new
-        alive_mask[alive[dead]] = False
-        alive = alive[~dead]
-    z = pos[:, 0] + 1j * pos[:, 1]
-    vals = np.where(alive_mask, (z ** k_order).real, 0.0)
-    return McEstimate.from_samples(vals), McEstimate.from_samples(alive_mask.astype(float))
+    n_steps, dt = _steps_for(t, replace(cfg, dt=t / 500))
+    killed, _, end = _cone_walk(s, cfg.n_paths, np.inf, math.pi / (2 * k_order), n_steps, dt,
+                                cfg.seed, _STREAMS["wedge"], cfg.bridge_correction, 1)
+    z = end[:, 0] + 1j * end[:, 1]
+    vals = np.where(killed, 0.0, (z ** k_order).real)
+    return McEstimate.from_samples(vals), McEstimate.from_samples((~killed).astype(float))
 
 
 def cone_condition_decay(k: int, cfg: PathEnsembleConfig,

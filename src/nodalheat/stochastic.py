@@ -7,10 +7,12 @@ is written in that convention; the finite-difference module solves the
 matching equation u_t = Laplace(u).
 
 Reproducibility: increments for step k of an ensemble come from a
-counter-based generator keyed by (seed, purpose tag, k), so results are
-pure functions of (inputs, config) regardless of how the ensemble is
-scheduled.  Two estimators called with the same config see bitwise
-identical paths, which makes shared-path identities exact.
+counter-based generator keyed by (seed, stream, k), so results are pure
+functions of (inputs, config) regardless of how the ensemble is scheduled.
+Two estimators called with the same config see bitwise identical paths,
+which makes shared-path identities exact.  The walks here share one engine,
+`_absorbing_walk`; in the cone exit walk, once at most 2048 paths remain,
+one generator call covers a block of up to 256 steps.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ __all__ = [
     "cone_exit_exact",
     "cone_exit_mc",
 ]
-
-_TAG_GRID = 1
-_TAG_LINE = 2
-_TAG_INTERVAL = 3
-_TAG_CONE = 4
 
 CONE_DEFAULT_DT = 2e-4
 _TINY_GRAD = 1e-300
@@ -107,9 +104,27 @@ class SupHittingResult:
     exact: float
 
 
-def _step_rng(seed: int, tag: int, step: int) -> np.random.Generator:
+# RNG streams as (tag, base, span), one owner each: counter k in [0, span)
+# keys Philox with (seed, tag << 56 | base + k).  Streams must not overlap,
+# and changing a number here changes the bytes of its owner.
+_STREAMS = {
+    "grid": (1, 0, 1 << 56),                    # _walk_in_domain
+    "line": (2, 0, 1 << 56),                    # sup_hitting_check
+    "interval": (3, 0, 1 << 56),                # escape_interval_mc
+    "cone": (4, 0, 1 << 56),                    # cone_exit_mc
+    "corridor": (6, 0, 1 << 54),                # bounds._corridor_walk
+    "wedge": (6, 1 << 54, 1 << 54),             # bounds._wedge_fk_survival
+    "corridor_starts": (6, 1 << 55, 1 << 55),   # bounds.avoided_crossing_scan
+    "points": (7, 0, 1),                        # bounds._interior_points
+}
+
+
+def _step_rng(seed: int, stream, k: int) -> np.random.Generator:
+    tag, base, span = stream
+    if not 0 <= k < span:
+        raise ValueError(f"counter {k} outside RNG stream {stream}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64((tag << 56) | step)], dtype=np.uint64)
+                    np.uint64((tag << 56) | (base + k))], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -122,6 +137,56 @@ def _steps_for(t: float, cfg: PathEnsembleConfig):
             f"dt={dt_req:.3g} violates dt <= t/100 for horizon t={t:.3g}")
     n_steps = max(1, math.ceil(t / dt_req - 1e-9))
     return n_steps, t / n_steps
+
+
+def _absorbing_walk(events, pos, aux, n_steps: int, dt: float, seed: int,
+                    stream, n_uniform: int, block: int):
+    """Killed walk of one path per row of pos (n, d); returns (stopped, reached, end).
+
+    Only live paths are held, compacted in order.  Step k draws Normal(0, 2 dt)
+    increments (m, kb, d) for the m live paths, then uniforms (m, kb, n_uniform),
+    from _step_rng(seed, stream, k); kb is 1 while over 2048 paths live, else
+    up to `block` steps.  events(prev, traj, aux, u) maps the steps' start and
+    end points (m, kb, d) to (dead, reached, aux at the block's end, traj); the
+    traj it returns may be remapped.  A path stops at its first dead or reached
+    step and ends there; end is the last point of paths live after n_steps.
+    """
+    n, d = pos.shape
+    sigma = math.sqrt(2 * dt)
+    stopped = np.zeros(n, dtype=bool)
+    reached = np.zeros(n, dtype=bool)
+    end = pos.copy()
+    live = np.arange(n)
+    k = 0
+    while k < n_steps and live.size:
+        m = live.size
+        kb = 1 if m > 2048 else min(block, n_steps - k)
+        rng = _step_rng(seed, stream, k)
+        inc = rng.standard_normal((m, kb, d)) * sigma
+        u = rng.random((m, kb, n_uniform)) if n_uniform else None
+        prev = pos[:, None, :]
+        traj = prev + (inc if kb == 1 else np.cumsum(inc, axis=1))
+        if kb > 1:
+            prev = np.concatenate([prev, traj[:, :-1]], axis=1)
+        dead, hit, aux, traj = events(prev, traj, aux, u)
+        event = dead | hit
+        stop = event.any(axis=1)
+        sel = np.flatnonzero(stop)
+        if sel.size:
+            first = event[sel].argmax(axis=1)
+            idx = live[sel]
+            stopped[idx] = True
+            reached[idx] = hit[sel, first]
+            end[idx] = traj[sel, first]
+            keep = ~stop
+            live = live[keep]
+            traj = np.compress(keep, traj, axis=0)   # faster than traj[keep] on 3-D arrays
+            if aux is not None:
+                aux = aux[keep]
+        pos = traj[:, -1]
+        k += kb
+    end[live] = pos
+    return stopped, reached, end
 
 
 # ---------------------------------------------------------------------------
@@ -144,40 +209,33 @@ def _walk_in_domain(values: np.ndarray, grid, sign: int, starts: np.ndarray,
     against the local linearization of the zero set is added per step.
     """
     n_steps, dt = _steps_for(t, cfg)
-    sigma = math.sqrt(2 * dt)
     pos = np.array(starts, dtype=float)
-    n = pos.shape[0]
-
     f, gx, gy, inside = interpolate_with_gradient(values, grid, pos)
-    w = sign * f
-    absorbed = (~inside) | (w <= 0)
-    dist = _level_set_distance(f, gx, gy)
-    alive = np.flatnonzero(~absorbed)
+    absorbed = (~inside) | (sign * f <= 0)
+    live = np.flatnonzero(~absorbed)
 
-    for k in range(n_steps):
-        if alive.size == 0:
-            break
-        rng = _step_rng(cfg.seed, _TAG_GRID, k)
-        m = alive.size
-        inc = rng.standard_normal((m, 2)) * sigma
-        new = pos[alive] + inc
+    # Each step's interpolant stays referenced until the next one is built.
+    # Freed at once, it leaves the heap top free, glibc trims it, and every
+    # step faults the pages back in (5x the page faults at 100000 paths).
+    held = []
+
+    def events(prev, traj, dist, u):
+        new = traj[:, 0]
         _wrap(new, grid)
-        f, gx, gy, inside = interpolate_with_gradient(values, grid, new)
-        w = sign * f
-        dead = (~inside) | (w <= 0)
+        f, gx, gy, inside = held[:] = interpolate_with_gradient(values, grid, new)
+        dead = (~inside) | (sign * f <= 0)
         d1 = _level_set_distance(f, gx, gy)
-        if cfg.bridge_correction:
-            u = rng.random(m)
-            dead |= u < np.exp(-np.minimum(dist[alive] * d1 / dt, 700.0))
-        dist[alive] = d1
-        pos[alive] = new
-        absorbed[alive[dead]] = True
-        alive = alive[~dead]
+        if u is not None:
+            dead |= u[:, 0, 0] < np.exp(-np.minimum(dist * d1 / dt, 700.0))
+        return dead[:, None], np.zeros((dead.size, 1), dtype=bool), d1, traj
 
+    absorbed[live], _, pos[live] = _absorbing_walk(
+        events, pos[live], _level_set_distance(f, gx, gy)[live], n_steps, dt,
+        cfg.seed, _STREAMS["grid"], int(cfg.bridge_correction), 1)
     return absorbed, pos
 
 
-def _validate_start(mask: DomainMask, label: int, x, warn_near_boundary=True):
+def _validate_start(mask: DomainMask, label: int, x):
     sel = mask.cells(label)
     grid = mask.grid
     pt = np.asarray(x, dtype=float).reshape(1, 2)
@@ -190,23 +248,22 @@ def _validate_start(mask: DomainMask, label: int, x, warn_near_boundary=True):
     if not sel[iy, ix]:
         raise InvalidParameterError(
             f"start point {tuple(pt[0])} lies in a cell outside domain label {label}")
-    if warn_near_boundary:
-        ny, nx = sel.shape
-        neighbors = []
-        for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            jy, jx = iy + dy, ix + dx
-            if grid.periodic_y:
-                jy %= ny
-            if grid.periodic_x:
-                jx %= nx
-            if 0 <= jy < ny and 0 <= jx < nx:
-                neighbors.append(sel[jy, jx])
-            else:
-                neighbors.append(False)
-        if not all(neighbors):
-            warnings.warn(
-                "start point within one cell of the boundary; the estimate is "
-                "discretization dominated", ResolutionWarning)
+    ny, nx = sel.shape
+    neighbors = []
+    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        jy, jx = iy + dy, ix + dx
+        if grid.periodic_y:
+            jy %= ny
+        if grid.periodic_x:
+            jx %= nx
+        if 0 <= jy < ny and 0 <= jx < nx:
+            neighbors.append(sel[jy, jx])
+        else:
+            neighbors.append(False)
+    if not all(neighbors):
+        warnings.warn(
+            "start point within one cell of the boundary; the estimate is "
+            "discretization dominated", ResolutionWarning)
     return pt[0]
 
 
@@ -267,30 +324,31 @@ def halfplane_hitting_exact(d: float, t: float) -> float:
     return float(special.erfc(d / (2 * math.sqrt(t))))
 
 
+def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
+    """Stopped flags of walks from 0 absorbed at lo < 0 < hi; a wall may be infinite."""
+    n_steps, dt = _steps_for(t, cfg)
+
+    def events(prev, traj, aux, u):
+        x0, x1 = prev[..., 0], traj[..., 0]
+        dead = (x1 >= hi) | (x1 <= lo)
+        if u is not None:
+            p = np.exp(-np.maximum(hi - x0, 0.0) * np.maximum(hi - x1, 0.0) / dt)
+            if lo > -np.inf:
+                p_dn = np.exp(-np.maximum(x0 - lo, 0.0) * np.maximum(x1 - lo, 0.0) / dt)
+                p = p + p_dn - p * p_dn
+            dead |= u[..., 0] < p
+        return dead, np.zeros_like(dead), None, traj
+
+    stopped, _, _ = _absorbing_walk(events, np.zeros((cfg.n_paths, 1)), None, n_steps, dt,
+                                    cfg.seed, stream, int(cfg.bridge_correction), 1)
+    return stopped
+
+
 def sup_hitting_check(a: float, t: float, cfg: PathEnsembleConfig) -> SupHittingResult:
     """Reflection-principle check: P(sup_{s<=t} B(s) > a) = erfc(a / (2 sqrt(t)))."""
     if a <= 0 or t <= 0:
         raise InvalidParameterError("need a > 0 and t > 0")
-    n_steps, dt = _steps_for(t, cfg)
-    sigma = math.sqrt(2 * dt)
-    pos = np.zeros(cfg.n_paths)
-    hit = np.zeros(cfg.n_paths, dtype=bool)
-    alive = np.flatnonzero(~hit)
-    for k in range(n_steps):
-        if alive.size == 0:
-            break
-        rng = _step_rng(cfg.seed, _TAG_LINE, k)
-        m = alive.size
-        new = pos[alive] + rng.standard_normal(m) * sigma
-        dead = new >= a
-        if cfg.bridge_correction:
-            u = rng.random(m)
-            d0 = a - pos[alive]
-            d1 = np.maximum(a - new, 0.0)
-            dead |= u < np.exp(-d0 * d1 / dt)
-        pos[alive] = new
-        hit[alive[dead]] = True
-        alive = alive[~dead]
+    hit = _line_walk(-np.inf, a, t, cfg, _STREAMS["line"])
     return SupHittingResult(mc=McEstimate.from_samples(hit.astype(float)),
                             exact=halfplane_hitting_exact(a, t))
 
@@ -312,26 +370,7 @@ def escape_interval_mc(a: float, t: float, cfg: PathEnsembleConfig) -> McEstimat
     """Monte Carlo P(sup_{s<=t} |B(s)| > a) from 0, absorbing at both walls."""
     if a <= 0 or t <= 0:
         raise InvalidParameterError("need a > 0 and t > 0")
-    n_steps, dt = _steps_for(t, cfg)
-    sigma = math.sqrt(2 * dt)
-    pos = np.zeros(cfg.n_paths)
-    out = np.zeros(cfg.n_paths, dtype=bool)
-    alive = np.flatnonzero(~out)
-    for k in range(n_steps):
-        if alive.size == 0:
-            break
-        rng = _step_rng(cfg.seed, _TAG_INTERVAL, k)
-        m = alive.size
-        new = pos[alive] + rng.standard_normal(m) * sigma
-        dead = np.abs(new) >= a
-        if cfg.bridge_correction:
-            u = rng.random(m)
-            p_up = np.exp(-np.maximum(a - pos[alive], 0.0) * np.maximum(a - new, 0.0) / dt)
-            p_dn = np.exp(-np.maximum(a + pos[alive], 0.0) * np.maximum(a + new, 0.0) / dt)
-            dead |= u < (p_up + p_dn - p_up * p_dn)
-        pos[alive] = new
-        out[alive[dead]] = True
-        alive = alive[~dead]
+    out = _line_walk(-a, a, t, cfg, _STREAMS["interval"])
     return McEstimate.from_samples(out.astype(float))
 
 
@@ -349,11 +388,6 @@ def cone_exit_exact(spec: ConeSpec) -> float:
     return float((2 / np.pi) * math.atan2(2 * x, x * x - 1))
 
 
-def _ray_distance(px: np.ndarray, py: np.ndarray, ux: float, uy: float):
-    proj = np.maximum(px * ux + py * uy, 0.0)
-    return np.hypot(px - proj * ux, py - proj * uy)
-
-
 def _wedge_distances(x, y_abs, rad, ux, uy):
     """Distances to the two wall half-lines of the folded wedge (y >= 0 side).
 
@@ -366,30 +400,44 @@ def _wedge_distances(x, y_abs, rad, ux, uy):
     return d_near, d_far
 
 
-def _cone_events(prev, new, rad_prev, u_wall, u_radius, ux, uy,
-                 r: float, dt: float, bridge: bool):
+def _cone_events(prev, traj, rad, u, ux, uy, r: float, dt: float, bridge: bool):
     """Wall-death and radius-success flags per step; wall events take precedence.
 
-    Returns (dead, reached, rad_new).  The sign test y_abs*ux - x*uy > 0 is
-    sin(theta - beta) > 0, i.e. the folded angle exceeds the half opening.
+    The events callback of _absorbing_walk, with rad the radius at the
+    block's start.  The sign test y_abs*ux - x*uy > 0 is sin(theta - beta)
+    > 0, i.e. the folded angle exceeds the half opening.
     """
-    ax = new[..., 0]
-    ay = np.abs(new[..., 1])
+    ax = traj[..., 0]
+    ay = np.abs(traj[..., 1])
     rad_new = np.sqrt(ax * ax + ay * ay)
     dead = ay * ux - ax * uy > 0
     if bridge:
+        # a block's later steps take the radius from hypot (the pinned bytes do)
+        rad_prev = np.concatenate(
+            [rad[:, None], np.hypot(traj[:, :-1, 0], traj[:, :-1, 1])], axis=1)
         px = prev[..., 0]
         py = np.abs(prev[..., 1])
         d0n, d0f = _wedge_distances(px, py, rad_prev, ux, uy)
         d1n, d1f = _wedge_distances(ax, ay, rad_new, ux, uy)
         p_n = np.exp(-d0n * d1n / dt)
         p_f = np.exp(-d0f * d1f / dt)
-        dead |= u_wall < (p_n + p_f - p_n * p_f)
+        dead |= u[..., 0] < (p_n + p_f - p_n * p_f)
         p_reach = np.exp(-np.maximum(r - rad_prev, 0) * np.maximum(r - rad_new, 0) / dt)
-        reached = (~dead) & ((rad_new >= r) | (u_radius < p_reach))
+        reached = (~dead) & ((rad_new >= r) | (u[..., 1] < p_reach))
     else:
         reached = (~dead) & (rad_new >= r)
-    return dead, reached, rad_new
+    return dead, reached, rad_new[:, -1], traj
+
+
+def _cone_walk(start: float, n_paths: int, r: float, beta: float, n_steps: int,
+               dt: float, seed: int, stream, bridge: bool, block: int):
+    """Walk from (start, 0) killed on the walls |theta| = beta, stopped at radius r."""
+    ux, uy = math.cos(beta), math.sin(beta)
+    pos = np.zeros((n_paths, 2))
+    pos[:, 0] = start
+    return _absorbing_walk(
+        lambda prev, traj, rad, u: _cone_events(prev, traj, rad, u, ux, uy, r, dt, bridge),
+        pos, np.full(n_paths, start), n_steps, dt, seed, stream, 2 if bridge else 0, block)
 
 
 def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:
@@ -398,56 +446,10 @@ def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:
     Scale invariance of the event makes the variance convention irrelevant
     here; dt only controls the discretization bias, which the wall and
     radius bridge corrections reduce from O(sqrt(dt)) to O(dt).  Straggler
-    paths are finished in vectorized multi-step blocks.
+    paths are finished in vectorized blocks of 256 steps.
     """
     dt = cfg.dt if cfg.dt is not None else CONE_DEFAULT_DT
-    sigma = math.sqrt(2 * dt)
-    beta = spec.alpha / 2
-    ux, uy = math.cos(beta), math.sin(beta)
-
-    pos = np.zeros((cfg.n_paths, 2))
-    pos[:, 0] = 1.0
-    rad = np.ones(cfg.n_paths)
-    success = np.zeros(cfg.n_paths, dtype=bool)
-    alive = np.arange(cfg.n_paths)
-
     max_steps = int(math.ceil(60 * spec.r ** 2 / dt))
-    tail_block = 256
-    k = 0
-    while k < max_steps and alive.size:
-        rng = _step_rng(cfg.seed, _TAG_CONE, k)
-        m = alive.size
-        if m > 2048:
-            new = pos[alive] + rng.standard_normal((m, 2)) * sigma
-            u = rng.random((m, 2))
-            dead, reached, rad_new = _cone_events(
-                pos[alive], new, rad[alive], u[:, 0], u[:, 1],
-                ux, uy, spec.r, dt, cfg.bridge_correction)
-            pos[alive] = new
-            rad[alive] = rad_new
-            success[alive[reached]] = True
-            alive = alive[~(dead | reached)]
-            k += 1
-            continue
-        # tail: advance a whole block of steps per draw
-        kb = min(tail_block, max_steps - k)
-        inc = rng.standard_normal((m, kb, 2)) * sigma
-        u = rng.random((m, kb, 2))
-        traj = pos[alive][:, None, :] + np.cumsum(inc, axis=1)
-        prev = np.concatenate([pos[alive][:, None, :], traj[:, :-1]], axis=1)
-        rad_prev = np.concatenate(
-            [rad[alive][:, None], np.hypot(traj[:, :-1, 0], traj[:, :-1, 1])], axis=1)
-        dead, reached, rad_new = _cone_events(
-            prev, traj, rad_prev, u[..., 0], u[..., 1],
-            ux, uy, spec.r, dt, cfg.bridge_correction)
-        event = dead | reached
-        has_event = event.any(axis=1)
-        first = np.argmax(event, axis=1)
-        hit_idx = alive[has_event]
-        success[hit_idx] = reached[has_event, first[has_event]]
-        pos[alive] = traj[:, -1]
-        rad[alive] = rad_new[..., -1]
-        alive = alive[~has_event]
-        k += kb
+    _, success, _ = _cone_walk(1.0, cfg.n_paths, spec.r, spec.alpha / 2, max_steps, dt,
+                               cfg.seed, _STREAMS["cone"], cfg.bridge_correction, 256)
     return McEstimate.from_samples(success.astype(float))
-

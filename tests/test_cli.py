@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nodalheat
 from nodalheat import bounds, cli
 from nodalheat.errors import InvalidParameterError
 
@@ -84,6 +90,21 @@ class TestExitCodes:
         err = self._usage_error(capsys, ["max-point", "--model", "cone:2",
                                          "--grid", "64", "--paths", "100"], tmp_path)
         assert "--t" in err
+
+    def test_python_dash_m(self, tmp_path):
+        # run from the source tree, as `python -m nodalheat` is run without an install
+        env = dict(os.environ, PYTHONPATH=str(Path(nodalheat.__file__).parents[1]))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "nodalheat", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        help_run = run("--help")
+        assert help_run.returncode == 0 and "usage: nodalheat" in help_run.stdout
+        bad = run("heat-content", "--grid", "64", "--times", "1e-4:1e-3:4", "--steps", "24",
+                  "--domain", "99", "--out", str(tmp_path))
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1, bad.stderr
 
     def test_unwritable_out(self, monkeypatch):
         rc = cli.main(["cone", "--alpha", "1.5", "--r", "2", "--paths", "200",

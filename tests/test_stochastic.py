@@ -3,9 +3,11 @@ import pytest
 from scipy.special import erfc
 
 import nodalheat as nh
+from nodalheat.bounds import _wedge_fk_survival
 from nodalheat.errors import InvalidParameterError, ResolutionWarning
 from nodalheat.heat import solve_hitting_field
 from nodalheat.stochastic import (
+    _STREAMS,
     ConeSpec,
     PathEnsembleConfig,
     cone_exit_exact,
@@ -262,3 +264,41 @@ class TestConeExit:
         spec = ConeSpec(alpha=np.pi / 3, r=2.0)
         cfg = PathEnsembleConfig(n_paths=5000, dt=1e-3, seed=41)
         assert cone_exit_mc(spec, cfg).mean == cone_exit_mc(spec, cfg).mean
+
+
+class TestStreams:
+    def test_stream_table_disjoint(self):
+        streams = sorted(_STREAMS.values())
+        for tag, base, span in streams:
+            assert 0 <= tag < 256 and span >= 1 and base + span <= 1 << 56
+        for (tag0, base0, span0), (tag1, base1, _) in zip(streams, streams[1:]):
+            assert tag0 < tag1 or base0 + span0 <= base1
+
+    # Integer stop counts of every absorbing walk.  At 2000 paths the cone
+    # draws blocks of steps from its first step, at 3000 it starts one step
+    # per draw.  A deliberate change of RNG keying or draw order must update
+    # these numbers.
+    PINNED = {
+        (2000, True): {"grid": 821, "line": 562, "interval": 642, "cone": 628, "wedge": 1847},
+        (2000, False): {"grid": 753, "line": 527, "interval": 554, "cone": 636, "wedge": 1842},
+        (3000, True): {"grid": 1184, "line": 843, "interval": 934, "cone": 909, "wedge": 2769},
+        (3000, False): {"grid": 1122, "line": 795, "interval": 835, "cone": 897, "wedge": 2736},
+    }
+
+    @pytest.mark.parametrize("n_paths,bridge", sorted(PINNED))
+    def test_stop_counts_pinned(self, n_paths, bridge):
+        rect = nh.make_rectangle_eigenfunction(1, 1, 1.0, 1.0)
+        mask = nh.label_nodal_domains(nh.sample_field(rect, nh.grid_for_model(rect, 64)))
+
+        def cfg(dt=None):
+            return PathEnsembleConfig(n_paths=n_paths, dt=dt, seed=3, bridge_correction=bridge)
+
+        means = {
+            "grid": estimate_hitting_probability(mask, 1, (0.2, 0.3), 0.02, cfg(2e-4)).mean,
+            "line": sup_hitting_check(0.15, 0.01, cfg(1e-4)).mc.mean,
+            "interval": escape_interval_mc(0.2, 0.01, cfg(1e-4)).mean,
+            "cone": cone_exit_mc(ConeSpec(np.pi / 2, 2.0), cfg(1e-3)).mean,
+            "wedge": 1 - _wedge_fk_survival(2, 0.1, 0.02, cfg())[1].mean,
+        }
+        counts = {name: round(mean * n_paths) for name, mean in means.items()}
+        assert counts == self.PINNED[(n_paths, bridge)]
