@@ -38,6 +38,7 @@ from .stochastic import (
     McEstimate,
     PathEnsembleConfig,
     _STREAMS,
+    _channel_survival,
     _cone_walk,
     _steps_for,
     _step_rng,
@@ -495,58 +496,30 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
 
 def _corridor_walk(starts: np.ndarray, box_l: float, box_w: float, t: float,
                    cfg: PathEnsembleConfig, salt: int):
-    """Absorbing corridor walk by sequential importance sampling.
+    """Weights and along-channel end points of the corridor walk, in one exact step.
 
-    Survival through the narrow cross direction is a rare event at the
-    wavelength horizon, so the y-increment is drawn from the Gaussian
-    truncated to the channel and the truncation mass times the exact
-    Brownian-bridge non-crossing factor goes into the path weight.  The
-    weighted ensemble is an unbiased estimator of every absorbed/landing
-    functional of the true killed walk, with every path contributing.
-    Systematic resampling every few steps keeps the weight spread bounded;
-    it correlates paths mildly, so reported standard errors are nominal.
+    On the box (0, L) x (0, w) the killed walk is two independent 1-D walks.
+    No functional reads the cross-channel end point, so that walk enters only
+    through its exact survival S_w(t, y0) (a Rao-Blackwellization).  The
+    along-channel end point is x1 = x0 + sqrt(2t) Z, weighted by the two
+    single-wall bridge factors (1 - exp(-x0 x1/t)) (1 - exp(-(L-x0)(L-x1)/t)),
+    which vanish unless 0 < x1 < L.  Against the exact image series on
+    [0, L] this omits two-wall terms of order exp(-L (L - |x1 - x0|)/t)
+    relative to the free kernel; with t = w^2 and L = n_tot w,
+    L^2/t = n_tot^2 >= 36 for every CorridorSpec, and at n_tot = 6 the
+    surviving mass from an interior square is off by under 3e-7 relative.
+    The paths are independent, so standard errors are plain i.i.d. errors.
+    cfg.dt is validated as for the other walks but sets no steps.  Returns
+    (weight, end) with end of shape (n, 1) holding x1.
     """
-    dt_req = cfg.dt if cfg.dt is not None else t / 250
-    cfg_eff = replace(cfg, dt=dt_req)
-    n_steps, dt = _steps_for(t, cfg_eff)
-    sigma = math.sqrt(2 * dt)
-    pos = np.array(starts, dtype=float)
-    wgt = np.ones(pos.shape[0])
-    n = pos.shape[0]
-    resample_every = 20
-    for k in range(n_steps):
-        rng = _step_rng(cfg.seed, _STREAMS["corridor"], (salt << 32) | k)
-        zx = rng.standard_normal(n)
-        uy = rng.random(n)
-        x0 = pos[:, 0]
-        y0 = pos[:, 1]
-        # x: free increment with exact end-wall survival factors
-        x1 = x0 + sigma * zx
-        inside_x = (x1 > 0) & (x1 < box_l)
-        keep_lo = -np.expm1(-np.minimum(x0 * x1 / dt, 700.0))
-        keep_hi = -np.expm1(-np.minimum((box_l - x0) * (box_l - x1) / dt, 700.0))
-        wgt *= np.where(inside_x, keep_lo * keep_hi, 0.0)
-        # y: increment truncated to the channel, truncation mass in the weight
-        fa = special.ndtr((0.0 - y0) / sigma)
-        fb = special.ndtr((box_w - y0) / sigma)
-        mass = np.maximum(fb - fa, 1e-300)
-        y1 = y0 + sigma * special.ndtri(fa + uy * mass)
-        y1 = np.clip(y1, 1e-12 * box_w, box_w * (1 - 1e-12))
-        keep_lo = -np.expm1(-np.minimum(y0 * y1 / dt, 700.0))
-        keep_hi = -np.expm1(-np.minimum((box_w - y0) * (box_w - y1) / dt, 700.0))
-        wgt *= mass * keep_lo * keep_hi
-        pos = np.column_stack([x1, y1])
-        if (k + 1) % resample_every == 0 and k + 1 < n_steps:
-            mean_w = wgt.mean()
-            if mean_w <= 0:
-                break
-            cum = np.cumsum(wgt)
-            cum /= cum[-1]
-            u0 = rng.random()
-            idx = np.searchsorted(cum, (u0 + np.arange(n)) / n, side="right")
-            pos = pos[np.minimum(idx, n - 1)]
-            wgt = np.full(n, mean_w)
-    return wgt, pos
+    _steps_for(t, cfg)      # validates cfg.dt and t only
+    x0 = starts[:, 0]
+    z = _step_rng(cfg.seed, _STREAMS["corridor"], salt << 32).standard_normal(x0.size)
+    x1 = x0 + math.sqrt(2 * t) * z
+    keep_lo = -np.expm1(-np.maximum(x0 * x1, 0.0) / t)
+    keep_hi = -np.expm1(-np.maximum((box_l - x0) * (box_l - x1), 0.0) / t)
+    wgt = _channel_survival(starts[:, 1], box_w, t) * keep_lo * keep_hi
+    return wgt, x1[:, None]
 
 
 def _sup_sin_on(a: float, b: float, length: float) -> float:
@@ -565,7 +538,9 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
     the square-to-square transitions and the exit mass over the horizon
     t = lam_geom^(-2 alpha), fits the Gaussian decay of transitions, checks
     the decay inequality at every interior square from its sup point, and
-    iterates the growth chain from the middle square.
+    iterates the growth chain from the middle square.  Every estimate comes
+    from independent weighted paths (_corridor_walk), so its standard error
+    is a plain i.i.d. error.
     """
     if alpha <= 0.5:
         raise InvalidParameterError("alpha must exceed 1/2")

@@ -477,7 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="0-based nodal domain index")
         sp.add_argument("--times", default=None, help="a:b:n log-spaced")
         sp.add_argument("--paths", type=int, default=100000)
-        sp.add_argument("--dt", type=float, default=None)
+        sp.add_argument("--dt", type=float, default=None,
+                        help="Monte Carlo time step; the avoided-crossing "
+                             "walk is exact in time and only validates it "
+                             "(at most t/100)")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--bridge", action=argparse.BooleanOptionalAction,
                         default=True)

@@ -112,7 +112,7 @@ _STREAMS = {
     "line": (2, 0, 1 << 56),                    # sup_hitting_check
     "interval": (3, 0, 1 << 56),                # escape_interval_mc
     "cone": (4, 0, 1 << 56),                    # cone_exit_mc
-    "corridor": (6, 0, 1 << 54),                # bounds._corridor_walk
+    "corridor": (6, 0, 1 << 54),                # bounds._corridor_walk, one key per walk
     "wedge": (6, 1 << 54, 1 << 54),             # bounds._wedge_fk_survival
     "corridor_starts": (6, 1 << 55, 1 << 55),   # bounds.avoided_crossing_scan
     "points": (7, 0, 1),                        # bounds._interior_points
@@ -364,6 +364,22 @@ def interval_escape_exact(a: float, t: float) -> float:
     lower = (2 * k - 1) * a / sigma
     survive = np.sum((-1.0) ** k * (special.ndtr(upper) - special.ndtr(lower)))
     return float(np.clip(1.0 - survive, 0.0, 1.0))
+
+
+def _channel_survival(y0, w: float, t: float) -> np.ndarray:
+    """P(the variance-2t walk from y0 stays in (0, w) up to t), sine series.
+
+    Sum over odd n of 4/(n pi) sin(n pi y0/w) exp(-n^2 pi^2 t/w^2) for
+    n <= ceil(sqrt(1 + ln(1e17) w^2/(pi^2 t))); past that the terms are below
+    1e-17 of the first (at t = w^2 only n = 1, 3 remain).  Clipped to [0, 1].
+    """
+    n_max = math.ceil(math.sqrt(1 + math.log(1e17) * w * w / (math.pi ** 2 * t)))
+    y0 = np.asarray(y0, dtype=float)
+    s = np.zeros(y0.shape)
+    for n in range(1, n_max + 1, 2):
+        s += 4 / (n * math.pi) * math.exp(-(n * math.pi / w) ** 2 * t) \
+            * np.sin(n * math.pi / w * y0)
+    return np.clip(s, 0.0, 1.0)
 
 
 def escape_interval_mc(a: float, t: float, cfg: PathEnsembleConfig) -> McEstimate:

@@ -216,6 +216,37 @@ class TestAvoidedCrossing:
                                   PathEnsembleConfig(n_paths=100, seed=1))
 
 
+class TestCorridorWalk:
+    def test_transitions_match_product_form(self):
+        # the killed walk on (0, L) x (0, w) factorizes: p_ij = Y X_ij, with Y the
+        # mean cross-channel survival and X_ij the 1-D killed kernel on [0, L]
+        # from a uniform start in square i into square j (sine series integrated
+        # over both squares, divided by w)
+        w, n_tot, i, n = 0.1, 8, 3, 40000
+        box_l, t = n_tot * w, w * w
+        rng = np.random.default_rng(11)
+        starts = np.column_stack([w * (i + rng.random(n)), w * rng.random(n)])
+        wgt, end = bounds._corridor_walk(starts, box_l, w, t,
+                                         PathEnsembleConfig(n_paths=n, seed=5), salt=0)
+
+        odd = 2 * np.arange(50) + 1
+        y_mean = np.sum(8 / (odd * np.pi) ** 2 * np.exp(-(odd * np.pi / w) ** 2 * t))
+        m = np.arange(1, 401)
+        cosines = np.cos(np.multiply.outer(m * np.pi / box_l, w * np.arange(n_tot + 1)))
+        sine_int = box_l / (m * np.pi)[:, None] * (cosines[:, :-1] - cosines[:, 1:])
+        decay = np.exp(-(m * np.pi / box_l) ** 2 * t)
+        x_ij = 2 / (box_l * w) * (decay * sine_int[:, i]) @ sine_int
+
+        jbin = np.floor(end[:, 0] / w).astype(np.int64)
+        z = {}
+        for j in range(i - 2, i + 3):
+            samples = wgt * (jbin == j)
+            z[j] = (samples.mean() - y_mean * x_ij[j]) / (samples.std(ddof=1) / math.sqrt(n))
+        p_b_exact = 1 - y_mean * x_ij.sum()
+        z["p_b"] = (1 - wgt.mean() - p_b_exact) / (wgt.std(ddof=1) / math.sqrt(n))
+        assert all(abs(v) <= 4 for v in z.values()), z
+
+
 class TestConeCondition:
     def test_k2_exponent(self):
         cfg = PathEnsembleConfig(n_paths=20000, dt=1e-3, seed=31)

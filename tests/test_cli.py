@@ -91,6 +91,12 @@ class TestExitCodes:
                                          "--grid", "64", "--paths", "100"], tmp_path)
         assert "--t" in err
 
+    def test_avoided_crossing_dt_validated(self, capsys, tmp_path):
+        # the corridor walk is exact in time, but --dt is still checked against t/100
+        err = self._usage_error(capsys, ["avoided-crossing", "--dt", "1",
+                                         "--paths", "100"], tmp_path)
+        assert "dt" in err
+
     def test_python_dash_m(self, tmp_path):
         # run from the source tree, as `python -m nodalheat` is run without an install
         env = dict(os.environ, PYTHONPATH=str(Path(nodalheat.__file__).parents[1]))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 import nodalheat as nh
 from nodalheat.bounds import _wedge_fk_survival
@@ -10,6 +10,7 @@ from nodalheat.stochastic import (
     _STREAMS,
     ConeSpec,
     PathEnsembleConfig,
+    _channel_survival,
     cone_exit_exact,
     cone_exit_mc,
     escape_interval_mc,
@@ -88,6 +89,25 @@ class TestIntervalEscape:
             surv = np.sum((4 / (k * np.pi)) * np.sin(k * np.pi / 2)
                           * np.exp(-(k * np.pi / (2 * a)) ** 2 * T))
             assert img == pytest.approx(1 - surv, abs=1e-9)
+
+    def test_channel_survival_series(self):
+        # the sine series against image series: interval_escape_exact from the
+        # middle, and the killed kernel's images integrated over (0, w) off it
+        w = 0.37
+        k = np.arange(-20, 21)[:, None]
+        for r in (0.01, 0.1, 1.0):
+            t = r * w * w
+            assert _channel_survival(w / 2, w, t) == pytest.approx(
+                1 - interval_escape_exact(w / 2, t), rel=1e-10)
+            y0 = np.array([w / 8, w / 3, 0.9 * w])
+            def cdf(a):
+                return ndtr((a + 2 * k * w) / np.sqrt(2 * t))
+
+            images = (cdf(w - y0) - cdf(-y0) - cdf(w + y0) + cdf(y0)).sum(axis=0)
+            np.testing.assert_allclose(_channel_survival(y0, w, t), images, rtol=1e-10)
+            y = np.concatenate([[1e-12 * w, w - 1e-12 * w], np.linspace(0, w, 1001)])
+            s = _channel_survival(y, w, t)
+            assert np.all((s >= 0) & (s <= 1))
 
     def test_mc_matches_exact(self):
         a = 1.2 * np.sqrt(T)
