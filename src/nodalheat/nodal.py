@@ -95,6 +95,8 @@ class GridSpec:
 
 def grid_for_model(model, n: int) -> GridSpec:
     """Square n x n (or aspect-matched) grid covering the model's natural frame."""
+    if n < 2:
+        raise InvalidParameterError(f"grid needs at least 2 cells per axis, got {n}")
     x0, y0, ex, ey = model.frame
     per_x, per_y = model.periodic
     if abs(ex - ey) < 1e-15:
@@ -222,144 +224,150 @@ _CASES = {
 # resolved by the sign of the interpolant at the square center; a nearly
 # vanishing center value means a genuine crossing and is resolved as an X.
 
-# adjacent corner ids per edge, used for boundary attribution
+# corner ids (p, q) at the ends of each edge
 _EDGE_CORNERS = {0: (0, 1), 1: (1, 2), 2: (3, 2), 3: (0, 3)}
 _CORNER_OFFSETS = [(0, 0), (1, 0), (1, 1), (0, 1)]  # (dx, dy)
+
+_CORNER_DX, _CORNER_DY = np.array(_CORNER_OFFSETS).T
+# an edge's crossing lies at a_p / (a_p - a_q) of the way from corner p to q
+_EDGE_P, _EDGE_Q = np.array(list(_EDGE_CORNERS.values())).T
+
+_X = 4                  # segment end code of the X point at a square's center
+_ALL = (0, 1, 2, 3)
+# saddle resolutions as (end_a, end_b, adjacent corners) per segment
+_SADDLE_X = ((0, _X, (0, 1)), (2, _X, (3, 2)), (3, _X, (0, 3)), (1, _X, (1, 2)))
+_SADDLE_00_11 = ((0, 1, _ALL), (3, 2, _ALL))    # 00 and 11 joined, arcs cut off 10, 01
+_SADDLE_10_01 = ((3, 0, _ALL), (2, 1, _ALL))    # 10 and 01 joined, arcs cut off 00, 11
+
+
+def _segment_templates():
+    """Segment slots per template: cases 0..15, then the three saddle resolutions."""
+    templates = [[(a, b, _ALL) for a, b in _CASES.get(c, ())] for c in range(16)]
+    templates += [_SADDLE_X, _SADDLE_00_11, _SADDLE_10_01]
+    count = np.array([len(t) for t in templates])
+    end_a = np.zeros((len(templates), 4), dtype=np.intp)
+    end_b = np.zeros_like(end_a)
+    adjacent = np.zeros((len(templates), 4, 4), dtype=bool)
+    for i, t in enumerate(templates):
+        for s, (a, b, corners) in enumerate(t):
+            end_a[i, s], end_b[i, s] = a, b
+            adjacent[i, s, list(corners)] = True
+    # rows i * 4 + s: slot s of template i
+    return count, end_a.ravel(), end_b.ravel(), adjacent.reshape(-1, 4)
+
+
+_T_COUNT, _T_END_A, _T_END_B, _T_ADJACENT = _segment_templates()
+_T_X, _T_00_11, _T_10_01 = 16, 17, 18
+# segments come out case by case in _CASES order, then saddles 5 and 10
+_CASE_RANK = np.zeros(16, dtype=np.uint8)    # small ints: stable argsort is a radix sort
+_CASE_RANK[list(_CASES) + [5, 10]] = np.arange(len(_CASES) + 2)
 
 
 def _perturb_zeros(values: np.ndarray):
     v = values.copy()
     scale = np.max(np.abs(v))
     zeros = v == 0.0
-    count = int(zeros.sum())
+    count = int(np.count_nonzero(zeros))
     if count and scale > 0:
         v[zeros] = ZERO_SHIFT_EPS * scale
     return v, count
 
 
-class _Segment:
-    __slots__ = ("pa", "pb", "ia", "ib", "cell", "corners")
+def _wrap_pad(a: np.ndarray, periodic_x: bool, periodic_y: bool) -> np.ndarray:
+    """a with its first column / row repeated at the end on periodic axes.
 
-    def __init__(self, pa, pb, ia, ib, cell, corners):
-        self.pa = pa            # (cx, cy) in continuous cell-index space
-        self.pb = pb
-        self.ia = ia            # integer node ids for stitching
-        self.ib = ib
-        self.cell = cell        # (iy, ix) of the dual square
-        self.corners = corners  # corner ids (0..3) this segment is adjacent to
+    Dual square (jy, jx) then has its corners at a[jy:jy+2, jx:jx+2].
+    """
+    if periodic_x:
+        a = np.concatenate([a, a[:, :1]], axis=1)
+    if periodic_y:
+        a = np.concatenate([a, a[:1]], axis=0)
+    return a
 
 
 def _contour_segments(values: np.ndarray, periodic_x: bool, periodic_y: bool):
-    """All zero-contour segments of the bilinear interpolant.
+    """All zero-contour segments of the bilinear interpolant, as arrays.
 
     Coordinates are continuous cell indices: cell center (iy, ix) sits at
     (ix, iy).  Segments never wrap; points may exceed nx-1 on periodic axes.
+    Returns (pa, pb, ia, ib, cell, adjacent) for n segments:
+
+    - pa, pb: (n, 2) end points (x, y);
+    - ia, ib: (n,) integer node ids of the ends, for stitching;
+    - cell: (n, 2) (iy, ix) of the dual square holding the segment;
+    - adjacent: (n, 4) bool, the square's corners (ids 0..3, offsets in
+      _CORNER_OFFSETS) the segment borders, for boundary attribution.
+
+    Ordering invariant: segments come case by case in _CASES order, then
+    the saddles 5 and 10; squares of one case in raster order; inside a
+    saddle square the four X arms B, T, L, R or the two arcs in the order
+    of their template.  Lengths are summed one by one in this order, so it
+    fixes every reported length to the last bit.
     """
     ny, nx = values.shape
-    ncx = nx if periodic_x else nx - 1
-    ncy = ny if periodic_y else ny - 1
+    pos = _wrap_pad((values > 0).view(np.uint8), periodic_x, periodic_y)
+    ncx = pos.shape[1] - 1
+    case = (pos[:-1, :-1] | pos[:-1, 1:] * 2 | pos[1:, 1:] * 4
+            | pos[1:, :-1] * 8).ravel()       # uint8 multiplies vectorize, shifts do not
+    sq = np.flatnonzero((case != 0) & (case != 15))
+    sq = sq[np.argsort(_CASE_RANK[case[sq]], kind="stable")]
+    template = case[sq].astype(np.intp)
+    flat = values.ravel()
 
-    ix = np.arange(ncx)
-    iy = np.arange(ncy)
-    ix1 = (ix + 1) % nx
-    iy1 = (iy + 1) % ny
+    def at(jy, jx, c):
+        # flat index into values of corner c of squares (jy, jx)
+        return (jy + _CORNER_DY[c]) % ny * nx + (jx + _CORNER_DX[c]) % nx
 
-    v00 = values[np.ix_(iy, ix)]
-    v10 = values[np.ix_(iy, ix1)]
-    v01 = values[np.ix_(iy1, ix)]
-    v11 = values[np.ix_(iy1, ix1)]
+    sad = np.flatnonzero((template == 5) | (template == 10))
+    if sad.size:
+        jy, jx = np.divmod(sq[sad], ncx)
+        a00, a10, a11, a01 = (flat[at(jy, jx, c)] for c in range(4))
+        total = a00 + a10 + a01 + a11
+        scale = np.abs(a00) + np.abs(a10) + np.abs(a01) + np.abs(a11)
+        template[sad] = np.where(
+            np.abs(total) <= SADDLE_DEGENERATE * scale, _T_X,
+            np.where((template[sad] == 5) == (total > 0), _T_00_11, _T_10_01))
 
-    b00 = v00 > 0
-    b10 = v10 > 0
-    b11 = v11 > 0
-    b01 = v01 > 0
-    case = (b00.astype(np.int8) + 2 * b10.astype(np.int8)
-            + 4 * b11.astype(np.int8) + 8 * b01.astype(np.int8))
+    count = _T_COUNT[template]
+    slot = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    t = np.repeat(template, count) * 4 + slot     # row of the flattened templates
+    jy, jx = np.divmod(np.repeat(sq, count), ncx)
 
-    # node ids: horizontal edges, then vertical edges, then cell junctions
-    n_h = ny * nx
-    n_v = ny * nx
+    def ends(end):
+        # node ids and points of segment ends: the zero crossing on edge
+        # 0..3, or for _X the center junction, x of the bottom crossing and
+        # y of the left one
+        edge = np.where(end == _X, 0, end)
+        p = _EDGE_P[edge]
+        ip = at(jy, jx, p)
+        ap = flat[ip]
+        f = ap / (ap - flat[at(jy, jx, _EDGE_Q[edge])])
+        along_x = edge % 2 == 0
+        x = (jx + _CORNER_DX[p]) + np.where(along_x, f, 0.0)
+        y = (jy + _CORNER_DY[p]) + np.where(along_x, 0.0, f)
+        # node ids: horizontal edges, then vertical edges, then cell junctions
+        node = np.where(along_x, ip, ny * nx + ip)
+        xj = np.flatnonzero(end == _X)
+        if xj.size:
+            a00, a01 = flat[at(jy[xj], jx[xj], 0)], flat[at(jy[xj], jx[xj], 3)]
+            y[xj] = jy[xj] + a00 / (a00 - a01)
+            node[xj] = 2 * ny * nx + jy[xj] * nx + jx[xj]
+        return node, np.column_stack([x, y])
 
-    def h_id(jy, jx):
-        return jy * nx + jx
-
-    def v_id(jy, jx):
-        return n_h + jy * nx + jx
-
-    def c_id(jy, jx):
-        return n_h + n_v + jy * nx + jx
-
-    segments = []
-    cy_grid, cx_grid = np.meshgrid(iy, ix, indexing="ij")
-
-    def edge_point(edge, jy, jx, a00, a10, a01, a11):
-        # returns (node_id, (cx, cy)) for the crossing on the given edge
-        if edge == 0:    # bottom: between (jy, jx) and (jy, jx+1)
-            f = a00 / (a00 - a10)
-            return h_id(jy % ny, jx % nx), (jx + f, float(jy))
-        if edge == 2:    # top
-            f = a01 / (a01 - a11)
-            return h_id((jy + 1) % ny, jx % nx), (jx + f, float(jy + 1))
-        if edge == 3:    # left
-            f = a00 / (a00 - a01)
-            return v_id(jy % ny, jx % nx), (float(jx), jy + f)
-        # right
-        f = a10 / (a10 - a11)
-        return v_id(jy % ny, (jx + 1) % nx), (float(jx + 1), jy + f)
-
-    for c, pairs in _CASES.items():
-        sel = case == c
-        if not sel.any():
-            continue
-        for jy, jx in zip(cy_grid[sel], cx_grid[sel]):
-            a00 = values[jy % ny, jx % nx]
-            a10 = values[jy % ny, (jx + 1) % nx]
-            a01 = values[(jy + 1) % ny, jx % nx]
-            a11 = values[(jy + 1) % ny, (jx + 1) % nx]
-            for ea, eb in pairs:
-                na, pa = edge_point(ea, jy, jx, a00, a10, a01, a11)
-                nb, pb = edge_point(eb, jy, jx, a00, a10, a01, a11)
-                segments.append(_Segment(pa, pb, na, nb, (jy, jx), (0, 1, 2, 3)))
-
-    # saddle squares
-    for c in (5, 10):
-        sel = case == c
-        if not sel.any():
-            continue
-        for jy, jx in zip(cy_grid[sel], cx_grid[sel]):
-            a00 = values[jy % ny, jx % nx]
-            a10 = values[jy % ny, (jx + 1) % nx]
-            a01 = values[(jy + 1) % ny, jx % nx]
-            a11 = values[(jy + 1) % ny, (jx + 1) % nx]
-            total = a00 + a10 + a01 + a11
-            scale = abs(a00) + abs(a10) + abs(a01) + abs(a11)
-            nb_, pb_ = edge_point(0, jy, jx, a00, a10, a01, a11)
-            nr_, pr_ = edge_point(1, jy, jx, a00, a10, a01, a11)
-            nt_, pt_ = edge_point(2, jy, jx, a00, a10, a01, a11)
-            nl_, pl_ = edge_point(3, jy, jx, a00, a10, a01, a11)
-            if abs(total) <= SADDLE_DEGENERATE * scale:
-                # genuine crossing: join the four arms at the X point
-                px = (pb_[0], pl_[1])
-                nxid = c_id(jy % ny, jx % nx)
-                segments.append(_Segment(pb_, px, nb_, nxid, (jy, jx), (0, 1)))
-                segments.append(_Segment(pt_, px, nt_, nxid, (jy, jx), (3, 2)))
-                segments.append(_Segment(pl_, px, nl_, nxid, (jy, jx), (0, 3)))
-                segments.append(_Segment(pr_, px, nr_, nxid, (jy, jx), (1, 2)))
-                continue
-            center_positive = total > 0
-            diag_00_11 = c == 5
-            if diag_00_11 == center_positive:
-                # positive diagonal connects: arcs hug the negative corners
-                segments.append(_Segment(pb_, pr_, nb_, nr_, (jy, jx), (0, 1, 2, 3)))
-                segments.append(_Segment(pl_, pt_, nl_, nt_, (jy, jx), (0, 1, 2, 3)))
-            else:
-                segments.append(_Segment(pl_, pb_, nl_, nb_, (jy, jx), (0, 1, 2, 3)))
-                segments.append(_Segment(pt_, pr_, nt_, nr_, (jy, jx), (0, 1, 2, 3)))
-
-    return segments
+    ia, pa = ends(_T_END_A[t])
+    ib, pb = ends(_T_END_B[t])
+    return pa, pb, ia, ib, np.column_stack([jy, jx]), np.take(_T_ADJACENT, t, axis=0)
 
 
-def _stitch_polylines(segments, grid: GridSpec):
+def _chained_length(pa, pb):
+    """Sum of segment lengths, added one at a time in segment order."""
+    if not len(pa):
+        return 0.0
+    d = pb - pa
+    return np.cumsum(np.hypot(d[:, 0], d[:, 1]))[-1]
+
+
+def _stitch_polylines(pa, pb, ia, ib, grid: GridSpec):
     """Chain segments into polylines; returns (polylines, extra_boundary_length).
 
     Open chains on non-periodic grids are extended from their terminal
@@ -367,16 +375,18 @@ def _stitch_polylines(segments, grid: GridSpec):
     so straight contours reach the true domain edge.
     """
     adjacency = {}
-    for idx, seg in enumerate(segments):
-        adjacency.setdefault(seg.ia, []).append((idx, seg.ib))
-        adjacency.setdefault(seg.ib, []).append((idx, seg.ia))
+    for idx, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+        adjacency.setdefault(a, []).append((idx, b))
+        adjacency.setdefault(b, []).append((idx, a))
 
-    point_of = {}
-    for seg in segments:
-        point_of[seg.ia] = seg.pa
-        point_of[seg.ib] = seg.pb
+    # a node's point is the one its last segment gives it: across a periodic
+    # seam the two squares sharing an edge place its crossing a period apart
+    nodes = np.column_stack([ia, ib]).ravel()
+    ends = np.stack([pa, pb], axis=1).reshape(-1, 2)
+    node_ids, last_rev = np.unique(nodes[::-1], return_index=True)
+    node_point = ends[nodes.size - 1 - last_rev]
 
-    visited = [False] * len(segments)
+    visited = [False] * len(ia)
     polylines_idx = []
 
     def walk(start_node):
@@ -416,7 +426,7 @@ def _stitch_polylines(segments, grid: GridSpec):
     extra = 0.0
     polylines = []
     for chain in polylines_idx:
-        pts = np.array([point_of[n] for n in chain], dtype=float)
+        pts = node_point[np.searchsorted(node_ids, chain)]
         if len(pts) >= 2 and not (grid.periodic_x and grid.periodic_y):
             for end, prev in ((0, 1), (-1, -2)):
                 ext = _boundary_extension(pts[end], pts[prev], grid)
@@ -459,17 +469,15 @@ def extract_nodal_set(field: ScalarField) -> NodalSet:
     close to zero is treated as a genuine crossing (X junction).
     """
     values, n_pert = _perturb_zeros(field.values)
-    if np.max(np.abs(values)) == 0.0:
+    if not values.any():
         return NodalSet(polylines=[], total_length=0.0, perturbed_zeros=n_pert)
-    segments = _contour_segments(values, field.grid.periodic_x, field.grid.periodic_y)
-    if not segments:
+    pa, pb, ia, ib, _, _ = _contour_segments(
+        values, field.grid.periodic_x, field.grid.periodic_y)
+    if not len(ia):
         return NodalSet(polylines=[], total_length=0.0, perturbed_zeros=n_pert)
     h = field.grid.h
-    total = 0.0
-    for seg in segments:
-        total += np.hypot(seg.pb[0] - seg.pa[0], seg.pb[1] - seg.pa[1])
-    polylines, extra = _stitch_polylines(segments, field.grid)
-    total = total * h + extra * h
+    polylines, extra = _stitch_polylines(pa, pb, ia, ib, field.grid)
+    total = _chained_length(pa, pb) * h + extra * h
     return NodalSet(polylines=polylines, total_length=float(total), perturbed_zeros=n_pert)
 
 
@@ -611,16 +619,14 @@ def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = No
         raise InvalidParameterError("field does not match the mask grid")
     v, _ = _perturb_zeros(values)
     total = 0.0
-    if np.max(np.abs(v)) > 0:
-        segments = _contour_segments(v, grid.periodic_x, grid.periodic_y)
-        ny, nx = sel.shape
-        for seg in segments:
-            jy, jx = seg.cell
-            for c in seg.corners:
-                dx, dy = _CORNER_OFFSETS[c]
-                if sel[(jy + dy) % ny, (jx + dx) % nx]:
-                    total += np.hypot(seg.pb[0] - seg.pa[0], seg.pb[1] - seg.pa[1])
-                    break
+    if v.any():
+        pa, pb, _, _, cell, adjacent = _contour_segments(v, grid.periodic_x, grid.periodic_y)
+        # a segment bounds the domain if a corner it borders is a domain cell
+        sel_sq = _wrap_pad(sel, grid.periodic_x, grid.periodic_y)
+        w = sel_sq.shape[1]
+        corner_in = sel_sq.ravel()[cell[:, :1] * w + cell[:, 1:] + (_CORNER_DY * w + _CORNER_DX)]
+        ours = (corner_in & adjacent).any(axis=1)
+        total = _chained_length(pa[ours], pb[ours])
     total *= grid.h
     # outer walls
     h = grid.h

@@ -97,6 +97,18 @@ class TestExitCodes:
                                          "--paths", "100"], tmp_path)
         assert "dt" in err
 
+    @pytest.mark.parametrize("experiment", ["theorem1", "heat-content"])
+    def test_grid_below_two_cells(self, capsys, tmp_path, experiment):
+        err = self._usage_error(capsys, [experiment, "--grid", "0"], tmp_path)
+        assert "grid" in err
+
+    def test_theorem1_zero_ratio_reports_infinite_spread(self, tmp_path):
+        # at grid 4 some domain's heat-content ratio is 0, so the spread has no finite value
+        assert cli.main(["theorem1", "--grid", "4", "--out", str(tmp_path)]) == 1
+        text = read(tmp_path / "theorem1.report.txt").decode()
+        assert "ratio_spread_across_modes = inf" in text
+        assert "ratio-stable-across-modes = FAIL" in text
+
     def test_python_dash_m(self, tmp_path):
         # run from the source tree, as `python -m nodalheat` is run without an install
         env = dict(os.environ, PYTHONPATH=str(Path(nodalheat.__file__).parents[1]))

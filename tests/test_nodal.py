@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,87 @@ class TestGeometry:
         lab = nh.nodal.label_at(mask, 0.25, 0.25)
         assert lab >= 1 and mask.sign(lab) == 1
         assert nh.nodal.label_at(mask, 0.75, 0.25) != lab
+
+
+def _random_field(seed, periodic_x, periodic_y):
+    # 60 x 50 square cells with about 2% exact zeros, so the zero shift is exercised
+    rng = np.random.default_rng(seed)
+    grid = nh.GridSpec(nx=60, ny=50, extent_x=1.2, extent_y=1.0,
+                       periodic_x=periodic_x, periodic_y=periodic_y)
+    v = rng.standard_normal((50, 60))
+    v[rng.random((50, 60)) < 0.02] = 0.0
+    return nh.ScalarField(grid=grid, values=v)
+
+
+def _pinned_geometry(field):
+    """(n_labels, per-label lengths as float.hex, nodal length hex, polyline hash)."""
+    mask = nh.label_nodal_domains(field)
+    lengths = [nh.boundary_length(mask, k, field).hex()
+               for k in range(1, mask.n_labels + 1)]
+    ns = nh.extract_nodal_set(field)
+    poly = hashlib.sha256()
+    for p in ns.polylines:
+        poly.update(np.ascontiguousarray(p, dtype="<f8").tobytes() + b"|")
+    return mask.n_labels, lengths, ns.total_length.hex(), poly.hexdigest()[:16]
+
+
+def _digest(hexes):
+    return hashlib.sha256(",".join(hexes).encode()).hexdigest()[:16]
+
+
+class TestContourPinning:
+    """Contour lengths and polylines pinned bit for bit.
+
+    Every boundary length is a sum of segment lengths in contour order, so
+    these values change if the segments are produced in another order or
+    their endpoints are computed with different arithmetic.
+    """
+
+    @pytest.mark.parametrize("seed, periodic, n_labels, lengths, total, poly", [
+        (20260808, (False, False), 491, "477b3a1043ceb09b",
+         "0x1.72cd2ff925fe3p+5", "8a2bb00f4265c435"),
+        (20260809, (True, False), 450, "966c89a866d15e8f",
+         "0x1.707f61e75daa6p+5", "6fb9b1a33706da6c"),
+        (20260810, (False, True), 421, "29470ae5f8579f25",
+         "0x1.73b8ca218e49ap+5", "8b4575b64f94786d"),
+        (20260811, (True, True), 404, "402b8444199fcc8c",
+         "0x1.6f4669cd50b3ap+5", "63984e9f2127beaf"),
+    ])
+    def test_random_fields(self, seed, periodic, n_labels, lengths, total, poly):
+        got = _pinned_geometry(_random_field(seed, *periodic))
+        assert (got[0], _digest(got[1]), got[2], got[3]) == (n_labels, lengths, total, poly)
+
+    def test_torus_23(self):
+        m = nh.make_torus_eigenfunction(2, 3)
+        n, lengths, total, poly = _pinned_geometry(
+            nh.sample_field(m, nh.grid_for_model(m, 256)))
+        assert n == 24
+        assert set(lengths) == {"0x1.aaaa7ec987500p-1", "0x1.aaaac09b3c580p-1"}
+        assert _digest(lengths) == "dd3134bc587f83fc"
+        assert total == "0x1.4000000000000p+3"
+        assert poly == "dfe2e4add031e154"
+
+    # one dual square on a 2 x 2 grid; values[iy, ix], so corner 10 is values[0, 1]
+    @pytest.mark.parametrize("values, length, total, n_chains, poly", [
+        # X junction: the center value vanishes, four arms meet at the center
+        ([[1, -1], [-1, 1]], "0x1.8000000000000p+0", "0x1.0000000000000p+2", 4,
+         "ef40a3a48751d68e"),
+        ([[-1, 1], [1, -1]], "0x1.8000000000000p+0", "0x1.0000000000000p+2", 4,
+         "ef40a3a48751d68e"),
+        # corners 00 and 11 joined through the center: arcs cut off 10 and 01
+        ([[1, -0.5], [-0.5, 1]], "0x1.78adf777fbe9ap+0", "0x1.e2b7dddfefa66p+0", 2,
+         "7750bbd2f190c7fa"),
+        ([[-1, 0.5], [0.5, -1]], "0x1.78adf777fbe9ap+0", "0x1.e2b7dddfefa66p+0", 2,
+         "7750bbd2f190c7fa"),
+        # corners 10 and 01 joined through the center: arcs cut off 00 and 11
+        ([[0.5, -1], [-1, 0.5]], "0x1.78adf777fbe9ap+0", "0x1.e2b7dddfefa66p+0", 2,
+         "3f2b42b554fcb773"),
+        ([[-0.5, 1], [1, -0.5]], "0x1.78adf777fbe9ap+0", "0x1.e2b7dddfefa66p+0", 2,
+         "3f2b42b554fcb773"),
+    ])
+    def test_saddle_outcomes(self, values, length, total, n_chains, poly):
+        field = nh.ScalarField(grid=nh.GridSpec(nx=2, ny=2),
+                               values=np.array(values, dtype=float))
+        got = _pinned_geometry(field)
+        assert got == (4, [length] * 4, total, poly)
+        assert len(nh.extract_nodal_set(field).polylines) == n_chains
