@@ -16,7 +16,7 @@ from nodalheat.stochastic import (ConeSpec, PathEnsembleConfig, cone_exit_exact,
                                   cone_exit_mc)
 
 cfg = PathEnsembleConfig(n_paths=50_000, dt=1e-3, seed=9)
-print("exit law, exact vs simulated:")
+print("exit law, exact vs walk-on-spheres:")
 for alpha, r in ((np.pi / 2, 2.0), (np.pi, 2.0), (np.pi / 3, 4.0)):
     spec = ConeSpec(alpha=alpha, r=r)
     exact = cone_exit_exact(spec)

@@ -39,9 +39,9 @@ from .stochastic import (
     PathEnsembleConfig,
     _STREAMS,
     _channel_survival,
-    _cone_walk,
     _steps_for,
     _step_rng,
+    _wedge_walk,
     cone_exit_exact,
     cone_exit_mc,
     escape_interval_mc,
@@ -695,10 +695,10 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
 def _wedge_fk_survival(k_order: int, s: float, t: float, cfg: PathEnsembleConfig):
     """Killed-evolution value and survival from (s, 0) in the sector W(pi/k)."""
     # the horizon scales with the apex distance, so the step must too;
-    # cfg.dt governs only the exit-law simulation
+    # cfg.dt only sizes the bias allowance of the cone checks
     n_steps, dt = _steps_for(t, replace(cfg, dt=t / 500))
-    killed, _, end = _cone_walk(s, cfg.n_paths, np.inf, math.pi / (2 * k_order), n_steps, dt,
-                                cfg.seed, _STREAMS["wedge"], cfg.bridge_correction, 1)
+    killed, end = _wedge_walk(s, cfg.n_paths, math.pi / (2 * k_order), n_steps, dt,
+                              cfg.seed, _STREAMS["wedge"], cfg.bridge_correction)
     z = end[:, 0] + 1j * end[:, 1]
     vals = np.where(killed, 0.0, (z ** k_order).real)
     return McEstimate.from_samples(vals), McEstimate.from_samples((~killed).astype(float))

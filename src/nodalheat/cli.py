@@ -258,11 +258,18 @@ def run_theorem1(ns) -> bounds.ExperimentReport:
     rep.constants["ratio_spread_across_modes"] = spread
     rep.check("ratio-stable-across-modes", spread <= 2.0,
               f"max/min per-domain ratio across modes = {spread:.3f}")
-    if len(modes) >= 2:
+    arr = np.array(rows)
+    # a coarse grid can sample a mode on its zeros, leaving no length to fit
+    has_length = arr[:, 2] > 0
+    if not has_length.all():
+        rep.check("modes-with-nodal-length", False,
+                  "zero nodal length, left out of the exponent fits: "
+                  + ", ".join(f"m = {m}" for m, ok in zip(modes, has_length) if not ok))
+        arr = arr[has_length]
+    if len(arr) >= 2:
         # growth exponents in lambda: diagonal torus lengths and certificates
         # both scale like sqrt(lambda), comfortably above the quarter-power
         # certificate floor
-        arr = np.array(rows)
         log_lam = np.log(arr[:, 1])
         slope_len = float(np.polyfit(log_lam, np.log(arr[:, 2]), 1)[0])
         slope_cert = float(np.polyfit(log_lam, np.log(arr[:, 4]), 1)[0])
@@ -482,10 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dt", type=float, default=None,
                         help="Monte Carlo time step; the avoided-crossing "
                              "walk is exact in time and only validates it "
-                             "(at most t/100)")
+                             "(at most t/100); the cone exit law is a "
+                             "walk-on-spheres with no time step, so in cone "
+                             "--dt only sets the bias allowance of its checks")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--bridge", action=argparse.BooleanOptionalAction,
-                        default=True)
+                        default=True,
+                        help="Brownian-bridge crossing correction of the "
+                             "time-stepped walks (grid, line, interval, "
+                             "wedge); the cone exit walk-on-spheres ignores "
+                             "it, but it still selects the cone bias allowance")
         sp.add_argument("--out", default="out")
         sp.add_argument("--emit-fields", action="store_true")
         sp.add_argument("--steps", type=int, default=96,

@@ -641,52 +641,83 @@ def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = No
 # bilinear interpolation shared with the stochastic module
 # ---------------------------------------------------------------------------
 
+def _ghost_table(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The samples padded to (ny + 2, nx + 2) with a ring of ghost cells.
+
+    The ring holds the periodic wrap on periodic axes and the odd
+    reflection -v on the others, so the interpolant changes sign exactly at
+    a physical wall.  Built once, it serves every interpolation on the grid.
+    """
+    v = np.asarray(values, dtype=float)
+    ny, nx = v.shape
+    table = np.empty((ny + 2, nx + 2))
+    table[1:-1, 1:-1] = v
+    if grid.periodic_x:
+        table[1:-1, 0], table[1:-1, -1] = v[:, -1], v[:, 0]
+    else:
+        table[1:-1, 0], table[1:-1, -1] = -v[:, 0], -v[:, -1]
+    # the rows include the corner ghosts, so corners get both axes' rule
+    if grid.periodic_y:
+        table[0], table[-1] = table[-2], table[1]
+    else:
+        table[0], table[-1] = -table[1], -table[-2]
+    return table
+
+
 def interpolate_with_gradient(values: np.ndarray, grid: GridSpec, pts: np.ndarray):
     """Bilinear interpolant and its gradient at arbitrary points.
 
     Periodic axes wrap; non-periodic axes use odd-reflection ghosts so the
     interpolant changes sign exactly at the physical wall.  Points beyond
     the physical rectangle are flagged outside (inside=False) and get the
-    reflected value.
+    reflected value.  values is the (ny, nx) samples or their ghost table
+    (ny + 2, nx + 2) from _ghost_table, which a walk builds once.
 
     Returns (f, gx, gy, inside).
     """
+    table = np.asarray(values, dtype=float)
+    ny, nx = grid.ny, grid.nx
+    if table.shape == (ny, nx):
+        table = _ghost_table(table, grid)
+    elif table.shape != (ny + 2, nx + 2):
+        raise InvalidParameterError(
+            f"values shape {table.shape} matches neither the grid ({ny}, {nx}) "
+            "nor its ghost table")
     pts = np.asarray(pts, dtype=float)
     x = pts[..., 0]
     y = pts[..., 1]
     h = grid.h
-    ny, nx = values.shape
 
     fx = (x - grid.x0) / h - 0.5
     fy = (y - grid.y0) / h - 0.5
     inside = np.ones(x.shape, dtype=bool)
 
-    def axis_indices(f, n, periodic):
-        i0 = np.floor(f).astype(np.int64)
-        t = f - i0
+    def axis_index(f, n, periodic):
+        # table index of the lower corner; the upper one is the next entry
+        fl = np.floor(f)
+        i0 = fl.astype(np.intp)
         if periodic:
-            return i0 % n, (i0 + 1) % n, t, np.ones(f.shape), np.ones(f.shape), None
+            return i0 % n + 1, f - fl, None
         ok = (f >= -0.5 - 1e-12) & (f <= n - 0.5 + 1e-12)
-        i0c = np.clip(i0, -1, n - 1)
-        i1c = i0c + 1
-        s0 = np.where(i0c < 0, -1.0, 1.0)
-        s1 = np.where(i1c > n - 1, -1.0, 1.0)
-        return np.clip(i0c, 0, n - 1), np.clip(i1c, 0, n - 1), t, s0, s1, ok
+        return np.clip(i0, -1, n - 1) + 1, f - fl, ok
 
-    ix0, ix1, tx, sx0, sx1, okx = axis_indices(fx, nx, grid.periodic_x)
-    iy0, iy1, ty, sy0, sy1, oky = axis_indices(fy, ny, grid.periodic_y)
+    ix, tx, okx = axis_index(fx, nx, grid.periodic_x)
+    iy, ty, oky = axis_index(fy, ny, grid.periodic_y)
     if okx is not None:
         inside &= okx
     if oky is not None:
         inside &= oky
 
-    v00 = values[iy0, ix0] * sx0 * sy0
-    v10 = values[iy0, ix1] * sx1 * sy0
-    v01 = values[iy1, ix0] * sx0 * sy1
-    v11 = values[iy1, ix1] * sx1 * sy1
+    w = nx + 2
+    base = iy * w + ix
+    v00 = table.take(base)
+    v10 = table.take(base + 1)
+    v01 = table.take(base + w)
+    v11 = table.take(base + (w + 1))
 
-    f = (v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
-         + v01 * (1 - tx) * ty + v11 * tx * ty)
-    gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h
-    gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
+    sx = 1 - tx
+    sy = 1 - ty
+    f = v00 * sx * sy + v10 * tx * sy + v01 * sx * ty + v11 * tx * ty
+    gx = ((v10 - v00) * sy + (v11 - v01) * ty) / h
+    gy = ((v01 - v00) * sx + (v11 - v10) * tx) / h
     return f, gx, gy, inside

@@ -109,6 +109,15 @@ class TestExitCodes:
         assert "ratio_spread_across_modes = inf" in text
         assert "ratio-stable-across-modes = FAIL" in text
 
+    def test_theorem1_fits_only_modes_with_length(self, tmp_path):
+        # at grid 4 the m = 4 mode is sampled on its zeros: nodal length 0
+        assert cli.main(["theorem1", "--grid", "4", "--out", str(tmp_path)]) == 1
+        text = read(tmp_path / "theorem1.report.txt").decode()
+        assert "nan" not in text and "divide by zero" not in text
+        assert "length_exponent = " in text
+        assert "modes-with-nodal-length = FAIL; " in text
+        assert text.count("m = 4") == 1 and "m = 3" not in text
+
     def test_python_dash_m(self, tmp_path):
         # run from the source tree, as `python -m nodalheat` is run without an install
         env = dict(os.environ, PYTHONPATH=str(Path(nodalheat.__file__).parents[1]))

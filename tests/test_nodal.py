@@ -316,3 +316,56 @@ class TestContourPinning:
         got = _pinned_geometry(field)
         assert got == (4, [length] * 4, total, poly)
         assert len(nh.extract_nodal_set(field).polylines) == n_chains
+
+
+def _reference_interpolant(values, grid, pts):
+    """Corner reads with explicit index clips and reflection signs per point."""
+    h = grid.h
+    out = []
+    for f, n, periodic in (((pts[:, 0] - grid.x0) / h - 0.5, grid.nx, grid.periodic_x),
+                           ((pts[:, 1] - grid.y0) / h - 0.5, grid.ny, grid.periodic_y)):
+        i0 = np.floor(f).astype(np.int64)
+        if periodic:
+            out.append((i0 % n, (i0 + 1) % n, f - i0, 1.0, 1.0, True))
+            continue
+        i0c = np.clip(i0, -1, n - 1)
+        out.append((np.clip(i0c, 0, n - 1), np.clip(i0c + 1, 0, n - 1), f - i0,
+                    np.where(i0c < 0, -1.0, 1.0), np.where(i0c + 1 > n - 1, -1.0, 1.0),
+                    (f >= -0.5 - 1e-12) & (f <= n - 0.5 + 1e-12)))
+    (ix0, ix1, tx, sx0, sx1, okx), (iy0, iy1, ty, sy0, sy1, oky) = out
+    v00 = values[iy0, ix0] * sx0 * sy0
+    v10 = values[iy0, ix1] * sx1 * sy0
+    v01 = values[iy1, ix0] * sx0 * sy1
+    v11 = values[iy1, ix1] * sx1 * sy1
+    f = (v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty)
+         + v01 * (1 - tx) * ty + v11 * tx * ty)
+    gx = ((v10 - v00) * (1 - ty) + (v11 - v01) * ty) / h
+    gy = ((v01 - v00) * (1 - tx) + (v11 - v10) * tx) / h
+    return f, gx, gy, np.broadcast_to(okx & oky, f.shape)
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("periodic_x,periodic_y",
+                             [(False, False), (True, False), (False, True), (True, True)])
+    def test_ghost_table_matches_plain_array(self, periodic_x, periodic_y):
+        grid = nh.GridSpec(nx=37, ny=23, x0=-0.3, y0=0.2, extent_x=1.85, extent_y=1.15,
+                           periodic_x=periodic_x, periodic_y=periodic_y)
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal((23, 37))
+        values[rng.random(values.shape) < 0.05] = 0.0
+        # points well outside the frame, plus points on cell centers and cell edges
+        pts = np.column_stack([rng.uniform(-1.0, 2.5, 4000), rng.uniform(-0.8, 2.2, 4000)])
+        pts[:200, 0] = grid.x0 + rng.integers(-4, 78, 200) * grid.h / 2
+        pts[:200, 1] = grid.y0 + rng.integers(-4, 50, 200) * grid.h / 2
+        plain = nh.nodal.interpolate_with_gradient(values, grid, pts)
+        table = nh.nodal.interpolate_with_gradient(nh.nodal._ghost_table(values, grid),
+                                                   grid, pts)
+        reference = _reference_interpolant(values, grid, pts)
+        for a, b, c in zip(plain, table, reference):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        assert not plain[3].all() or (periodic_x and periodic_y)
+
+    def test_rejects_values_off_the_grid(self):
+        grid = nh.GridSpec(nx=8, ny=6, extent_y=0.75)
+        with pytest.raises(InvalidParameterError, match="ghost table"):
+            nh.nodal.interpolate_with_gradient(np.zeros((6, 9)), grid, np.zeros((1, 2)))

@@ -285,6 +285,24 @@ class TestConeExit:
         cfg = PathEnsembleConfig(n_paths=5000, dt=1e-3, seed=41)
         assert cone_exit_mc(spec, cfg).mean == cone_exit_mc(spec, cfg).mean
 
+    @pytest.mark.parametrize("alpha", [np.pi / 3, np.pi / 2, np.pi, 1.5 * np.pi, 2 * np.pi],
+                             ids=["pi_3", "pi_2", "pi", "3pi_2", "2pi"])
+    def test_walk_on_spheres_unbiased(self, alpha):
+        # walk-on-spheres has no time step, so no discretization allowance:
+        # the estimate must sit within 4 standard errors of the exit law
+        spec = ConeSpec(alpha=alpha, r=2.0)
+        est = cone_exit_mc(spec, PathEnsembleConfig(n_paths=100000))
+        bias = est.mean - cone_exit_exact(spec)
+        assert abs(bias) <= 4 * est.std_error
+        print(f"  measured bias {bias:+.5f} (se {est.std_error:.5f})", end="")
+
+    def test_ignores_dt_and_bridge(self):
+        spec = ConeSpec(alpha=np.pi / 2, r=2.0)
+        results = {cone_exit_mc(spec, PathEnsembleConfig(n_paths=3000, dt=dt, seed=43,
+                                                         bridge_correction=bridge))
+                   for dt in (1e-3, 5e-4) for bridge in (True, False)}
+        assert len(results) == 1
+
 
 class TestStreams:
     def test_stream_table_disjoint(self):
@@ -294,15 +312,15 @@ class TestStreams:
         for (tag0, base0, span0), (tag1, base1, _) in zip(streams, streams[1:]):
             assert tag0 < tag1 or base0 + span0 <= base1
 
-    # Integer stop counts of every absorbing walk.  At 2000 paths the cone
-    # draws blocks of steps from its first step, at 3000 it starts one step
-    # per draw.  A deliberate change of RNG keying or draw order must update
-    # these numbers.
+    # Integer stop counts of every walk.  The cone exit walk is a
+    # walk-on-spheres that reads neither dt nor the bridge flag, so its count
+    # depends only on the path count.  A deliberate change of RNG keying or
+    # draw order must update these numbers.
     PINNED = {
-        (2000, True): {"grid": 821, "line": 562, "interval": 642, "cone": 628, "wedge": 1847},
-        (2000, False): {"grid": 753, "line": 527, "interval": 554, "cone": 636, "wedge": 1842},
-        (3000, True): {"grid": 1184, "line": 843, "interval": 934, "cone": 909, "wedge": 2769},
-        (3000, False): {"grid": 1122, "line": 795, "interval": 835, "cone": 897, "wedge": 2736},
+        (2000, True): {"grid": 821, "line": 562, "interval": 642, "cone": 653, "wedge": 1847},
+        (2000, False): {"grid": 753, "line": 527, "interval": 554, "cone": 653, "wedge": 1842},
+        (3000, True): {"grid": 1184, "line": 843, "interval": 934, "cone": 959, "wedge": 2769},
+        (3000, False): {"grid": 1122, "line": 795, "interval": 835, "cone": 959, "wedge": 2736},
     }
 
     @pytest.mark.parametrize("n_paths,bridge", sorted(PINNED))
