@@ -186,25 +186,38 @@ def _absorbing_walk(events, pos, aux, n_steps: int, dt: float, seed: int,
 # ---------------------------------------------------------------------------
 
 def _wrap(pos: np.ndarray, grid):
-    # one column at a time: np.mod by a scalar is faster than one pass over
-    # (n, 2) by the (2,) extents (numpy 2.4: 37 against 57 us at 1000 rows)
-    if grid.periodic_x:
-        pos[:, 0] = grid.x0 + np.mod(pos[:, 0] - grid.x0, grid.extent_x)
-    if grid.periodic_y:
-        pos[:, 1] = grid.y0 + np.mod(pos[:, 1] - grid.y0, grid.extent_y)
+    # np.mod(a, L) == a exactly for 0 <= a < L, so only the rows that left
+    # the period take the mod and every row keeps lo + a, byte for byte
+    for c, periodic, lo, period in ((0, grid.periodic_x, grid.x0, grid.extent_x),
+                                    (1, grid.periodic_y, grid.y0, grid.extent_y)):
+        if periodic:
+            a = pos[:, c] - lo
+            out = (a < 0) | (a >= period)
+            if out.any():
+                a[out] = np.mod(a[out], period)
+            pos[:, c] = lo + a
 
 
-def _walk_in_domain(values: np.ndarray, grid, sign: int, starts: np.ndarray,
+def _field_table(mask: DomainMask) -> np.ndarray:
+    """Ghost table of the mask's field samples, built once and kept on the
+    mask (as heat keeps its ADI plans) for every walk and start check."""
+    table = getattr(mask, "_interp_table", None)
+    if table is None:
+        table = mask._interp_table = _ghost_table(mask.field_values, mask.grid)
+    return table
+
+
+def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
                     t: float, cfg: PathEnsembleConfig):
     """Absorbing walk of one path per start row; returns (absorbed, end).
 
-    Absorption tests the sign of the bilinear interpolant at each step
-    endpoint; with bridge_correction on, a Brownian-bridge crossing draw
-    against the local linearization of the zero set is added per step.
+    table is the field's ghost table (nodal._ghost_table; _field_table for
+    a mask).  Absorption tests the sign of the bilinear interpolant at each
+    step endpoint; with bridge_correction on, a Brownian-bridge crossing
+    draw against the local linearization of the zero set is added per step.
     """
     n_steps, dt = _steps_for(t, cfg)
     pos = np.array(starts, dtype=float)
-    table = _ghost_table(values, grid)
     f, gx, gy, inside = interpolate_with_gradient(table, grid, pos)
     absorbed = (~inside) | (sign * f <= 0)
     live = np.flatnonzero(~absorbed)
@@ -230,19 +243,20 @@ def _walk_in_domain(values: np.ndarray, grid, sign: int, starts: np.ndarray,
 
 
 def _validate_start(mask: DomainMask, label: int, x):
-    sel = mask.cells(label)
+    sgn = mask.sign(label)      # rejects an unknown label
     grid = mask.grid
     pt = np.asarray(x, dtype=float).reshape(1, 2)
-    f, _, _, inside = interpolate_with_gradient(mask.field_values, grid, pt)
-    sgn = mask.sign(label)
+    f, _, _, inside = interpolate_with_gradient(_field_table(mask), grid, pt)
     if not inside[0] or sgn * f[0] <= 0:
         raise InvalidParameterError(f"start point {tuple(pt[0])} is not inside the domain")
     ix = int(np.clip(np.floor((pt[0, 0] - grid.x0) / grid.h), 0, grid.nx - 1))
     iy = int(np.clip(np.floor((pt[0, 1] - grid.y0) / grid.h), 0, grid.ny - 1))
-    if not sel[iy, ix]:
+    # five label reads: a whole-grid mask.cells(label) took 0.3 ms at 1024^2
+    labels = mask.labels
+    if labels[iy, ix] != label:
         raise InvalidParameterError(
             f"start point {tuple(pt[0])} lies in a cell outside domain label {label}")
-    ny, nx = sel.shape
+    ny, nx = labels.shape
     neighbors = []
     for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         jy, jx = iy + dy, ix + dx
@@ -251,7 +265,7 @@ def _validate_start(mask: DomainMask, label: int, x):
         if grid.periodic_x:
             jx %= nx
         if 0 <= jy < ny and 0 <= jx < nx:
-            neighbors.append(sel[jy, jx])
+            neighbors.append(labels[jy, jx] == label)
         else:
             neighbors.append(False)
     if not all(neighbors):
@@ -266,7 +280,7 @@ def estimate_hitting_probability(mask: DomainMask, label: int, x, t: float,
     """p_t(x): probability of hitting the domain boundary within time t."""
     pt = _validate_start(mask, label, x)
     starts = np.tile(pt, (cfg.n_paths, 1))
-    absorbed, _ = _walk_in_domain(mask.field_values, mask.grid, mask.sign(label),
+    absorbed, _ = _walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
                                   starts, t, cfg)
     return McEstimate.from_samples(absorbed.astype(float))
 
@@ -279,7 +293,7 @@ def feynman_kac_dirichlet(model, mask: DomainMask, label: int, x, t: float,
         return McEstimate(mean=float(model.evaluate(pt[0], pt[1])), std_error=0.0,
                           n_paths=cfg.n_paths)
     starts = np.tile(pt, (cfg.n_paths, 1))
-    absorbed, end = _walk_in_domain(mask.field_values, mask.grid, mask.sign(label),
+    absorbed, end = _walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
                                     starts, t, cfg)
     vals = np.where(absorbed, 0.0, np.asarray(model.evaluate(end[:, 0], end[:, 1])))
     return McEstimate.from_samples(vals)
@@ -299,7 +313,7 @@ def xi_evolution(model, mask: DomainMask, label: int, x, t: float,
     if t == 0:
         return McEstimate(mean=u0, std_error=0.0, n_paths=cfg.n_paths)
     starts = np.tile(pt, (cfg.n_paths, 1))
-    absorbed, end = _walk_in_domain(mask.field_values, mask.grid, mask.sign(label),
+    absorbed, end = _walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
                                     starts, t, cfg)
     fk_vals = np.where(absorbed, 0.0, np.asarray(model.evaluate(end[:, 0], end[:, 1])))
     fk_mean = float(fk_vals.mean())

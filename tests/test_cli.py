@@ -102,6 +102,12 @@ class TestExitCodes:
         err = self._usage_error(capsys, [experiment, "--grid", "0"], tmp_path)
         assert "grid" in err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_isoperimetry_rejects_too_few_steps(self, capsys, tmp_path, steps):
+        err = self._usage_error(capsys, ["isoperimetry", "--grid", "32",
+                                         "--steps", steps], tmp_path)
+        assert "n_steps" in err
+
     def test_theorem1_zero_ratio_reports_infinite_spread(self, tmp_path):
         # at grid 4 some domain's heat-content ratio is 0, so the spread has no finite value
         assert cli.main(["theorem1", "--grid", "4", "--out", str(tmp_path)]) == 1

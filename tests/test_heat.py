@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 import nodalheat as nh
+import nodalheat.bounds  # binds nh.bounds; the package does not import it
 from nodalheat.errors import InvalidParameterError
 from nodalheat.heat import (
+    _BLOCK_MIN_LINES,
+    _get_plan,
     dirichlet_semigroup_field,
     heat_content,
     heat_content_curve,
@@ -221,6 +226,16 @@ class TestContentCurve:
         with pytest.raises(InvalidParameterError):
             heat_content_curve(mask, 1, [0.1, 0.2, 0.5, 1.1], n_steps=32)
 
+    @pytest.mark.parametrize("n_steps", [0, -3, 9])
+    def test_rejects_too_few_steps(self, n_steps):
+        # with no first leg the content at t0 would read 0 and bend the slope
+        grid = nh.GridSpec(nx=64, ny=64)
+        mask = nh.label_nodal_domains(
+            nh.indicator_field(grid, lambda x, y: (x < 0.5) | (y < 0.5)))
+        label = nh.nodal.principal_label(mask, 1)
+        with pytest.raises(InvalidParameterError, match="n_steps"):
+            heat_content_curve(mask, label, np.logspace(-4, -3, 6), n_steps=n_steps)
+
 
 class DstMode:
     """Product of sines that is an exact DST-II mode of the cell-centered grid."""
@@ -338,3 +353,79 @@ class TestSemigroup:
         lhs = float((p.values[sel] * field.values[sel]).sum() * h2)
         rhs = float(((field.values[sel]) - sg.values[sel]).sum() * h2)
         assert lhs == pytest.approx(rhs, rel=2e-3)
+
+
+def _digest(values):
+    return hashlib.sha256(" ".join(map(float.hex, np.ravel(values))).encode()).hexdigest()[:16]
+
+
+def _block_cases():
+    n = 96
+    h = 1.0 / n
+    family = {name: (mask, label)
+              for name, mask, label in nh.bounds.default_isoperimetry_family(n)}
+    cases = {name: family[name] for name in ("ell", "slit", "comb", "disk")}
+
+    def add(name, grid, predicate):
+        mask = nh.label_nodal_domains(nh.indicator_field(grid, predicate))
+        cases[name] = (mask, nh.nodal.principal_label(mask, 1))
+
+    # a disk centred on the corner of a torus: its runs cross both seams
+    add("seam", nh.GridSpec(nx=n, ny=n, periodic_x=True, periodic_y=True),
+        lambda x, y: (np.minimum(x, 1 - x) ** 2 + np.minimum(y, 1 - y) ** 2) < 0.12)
+    # a one-cell-wide channel 57 rows tall above a slab
+    add("channel", nh.GridSpec(nx=n, ny=n),
+        lambda x, y: (y < 0.3) | ((np.abs(x - 0.5 - h / 2) < h / 2) & (y < 0.9)))
+    # the cylinder strip: every x run is a full periodic row
+    add("cylinder", nh.GridSpec(nx=n, ny=n, periodic_x=True),
+        lambda x, y: (y > 0.25) & (y < 0.75))
+    return cases
+
+
+class TestBlockPlan:
+    """Tall stacks of identical runs are solved on slices of the working
+    array, the rest through fancy-index gathers; both must give the bytes
+    the gather-only solver gave.  The digests hash the float.hex strings of
+    heat_content_curve contents (t in [1e-4, 1e-3], n_steps 32) and of
+    solve_hitting_field values (t = 1e-3, n_steps 24) at 96^2, recorded
+    with the gather-only solver."""
+
+    PINNED = {
+        "ell": ("4bfe3b6df22c311d", "7c9856d902731bf9"),
+        "slit": ("561ef19688ec3d0c", "37c8ac5c47f3f163"),
+        "comb": ("9927ecf01c9c1520", "b46f78fd942a1afb"),
+        "disk": ("31e690371174dcf3", "bd80076a083f9b9c"),
+        "seam": ("768b8ccec927c82b", "51554d801363d130"),
+        "channel": ("38ac213c99a6b075", "d08122ed8c44e474"),
+        "cylinder": ("f12931a9ad6cf4e0", "5c8f01cabd9661c9"),
+    }
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _block_cases()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_outputs_pinned(self, cases, name):
+        mask, label = cases[name]
+        curve = heat_content_curve(mask, label, np.logspace(-4, -3, 6), n_steps=32)
+        field = solve_hitting_field(mask, label, 1e-3, n_steps=24)
+        assert (_digest(curve.contents), _digest(field.values)) == self.PINNED[name]
+
+    def test_plans_take_the_block_path(self, cases):
+        plans = {name: _get_plan(*cases[name]) for name in cases}
+        # every ell run is on a block: a silent fallback to gathers fails here
+        ell = plans["ell"]
+        assert ell.groups == {"x": {}, "y": {}}
+        assert len(ell.blocks["x"]) == 2 and len(ell.blocks["y"]) == 2
+        # the channel has an x block of one-cell runs, taller than the minimum
+        assert any(ln == 1 and l1 - l0 >= _BLOCK_MIN_LINES
+                   for l0, l1, _, ln, _ in plans["channel"].blocks["x"])
+        # the cylinder's full periodic rows are cyclic blocks
+        cyl = plans["cylinder"]
+        assert cyl.groups["x"] == {} and cyl.blocks["x"]
+        assert all(cyclic for *_, cyclic in cyl.blocks["x"])
+        # runs across a periodic seam cannot be sliced and stay gathered
+        seam = plans["seam"]
+        nx = seam.grid.nx
+        assert all(s + ln <= nx for _, _, s, ln, _ in seam.blocks["x"] + seam.blocks["y"])
+        assert seam.groups["x"] and seam.groups["y"]

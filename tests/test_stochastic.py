@@ -4,13 +4,14 @@ from scipy.special import erfc, ndtr
 
 import nodalheat as nh
 from nodalheat.bounds import _wedge_fk_survival
-from nodalheat.errors import InvalidParameterError, ResolutionWarning
+from nodalheat.errors import InvalidParameterError, ResolutionWarning, UnknownLabelError
 from nodalheat.heat import solve_hitting_field
 from nodalheat.stochastic import (
     _STREAMS,
     ConeSpec,
     PathEnsembleConfig,
     _channel_survival,
+    _field_table,
     cone_exit_exact,
     cone_exit_mc,
     escape_interval_mc,
@@ -184,6 +185,20 @@ class TestDomainWalks:
             estimate_hitting_probability(
                 mask, 1, (0.25, mask.grid.h / 2), t,
                 PathEnsembleConfig(n_paths=100, dt=t / 100, seed=0))
+
+    def test_ghost_table_kept_on_mask(self):
+        # the start check and the walks share one table per mask; an unknown
+        # label is still rejected before any interpolation
+        m = nh.make_torus_eigenfunction(1, 1)
+        mask = nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 64)))
+        table = _field_table(mask)
+        assert _field_table(mask) is table
+        assert np.array_equal(table, nh.nodal._ghost_table(mask.field_values, mask.grid))
+        cfg = PathEnsembleConfig(n_paths=100, dt=1e-5, seed=0)
+        estimate_hitting_probability(mask, 1, (0.25, 0.25), 1e-3, cfg)
+        assert _field_table(mask) is table
+        with pytest.raises(UnknownLabelError):
+            estimate_hitting_probability(mask, 99, (0.25, 0.25), 1e-3, cfg)
 
     def test_determinism(self, setup):
         model, mask, t, cfg = setup
