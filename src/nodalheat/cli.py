@@ -159,7 +159,7 @@ def _mask_label(model, n, domain_index):
 
 def _eigen_time(ns, model) -> float:
     """--t if given, else 1/lambda; a harmonic model (lambda = 0) needs --t."""
-    if ns.t:
+    if ns.t is not None:
         return ns.t
     if model.eigenvalue <= 0:
         raise InvalidParameterError(
@@ -215,8 +215,17 @@ def run_comparison(ns) -> bounds.ExperimentReport:
     return bounds.check_comparison_lemma(model, mask, label, None, t, cfg)
 
 
+def _parse_modes(spec: str) -> list:
+    """Comma-separated diagonal torus modes, e.g. 1,2,3,4."""
+    try:
+        return [int(m) for m in spec.split(",")]
+    except ValueError:
+        raise InvalidParameterError(
+            f"bad --modes {spec!r}: expected comma-separated integers, e.g. 1,2,3,4")
+
+
 def run_theorem1(ns) -> bounds.ExperimentReport:
-    modes = [int(m) for m in ns.modes.split(",")]
+    modes = _parse_modes(ns.modes)
     rep = bounds.ExperimentReport(
         name="theorem1",
         claim="heat-content certificates track the nodal length across the "
@@ -302,7 +311,7 @@ def run_thin_domain(ns) -> bounds.ExperimentReport:
             "as c/sqrt(lambda)")
     tube = bounds.TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)),
                            half_width=ns.c / math.sqrt(lam))
-    t = ns.t if ns.t else 1.0 / lam
+    t = ns.t if ns.t is not None else 1.0 / lam
     cfg = _path_cfg(ns, t, 500)
     return bounds.thin_domain_check(model, tube, t, cfg, grid_n=ns.grid)
 
@@ -555,6 +564,14 @@ def apply_config_file(ns, argv=None):
     return ns
 
 
+def _check_common_args(ns):
+    """Reject values of the shared flags that no experiment can run with."""
+    if ns.t is not None and not ns.t > 0:
+        raise InvalidParameterError(f"--t must be positive, got {ns.t!r}")
+    if ns.threads < 1:
+        raise InvalidParameterError(f"--threads must be at least 1, got {ns.threads}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -566,6 +583,7 @@ def main(argv=None) -> int:
         return 0
     try:
         ns = apply_config_file(ns, argv)
+        _check_common_args(ns)
         if ns.experiment == "suite":
             return run_suite(ns)
         rep = _run_recording_warnings(ns.experiment, ns)

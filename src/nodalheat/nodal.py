@@ -605,36 +605,70 @@ def label_at(mask: DomainMask, x: float, y: float) -> int:
     return int(mask.labels[iy, ix])
 
 
+def _boundary_lengths(values: np.ndarray, mask: DomainMask) -> np.ndarray:
+    """Boundary length of every label of the mask from one contour of values.
+
+    Returns an (n_labels + 1,) array; entry 0 is unused.  A segment bounds
+    each distinct label among the corners it borders, and counts once per
+    label.  Each label's segment lengths are added one at a time in segment
+    order, as _chained_length adds them, so every length is the one a
+    contour per label would give, to the last bit.
+    """
+    grid = mask.grid
+    h = grid.h
+    n = mask.n_labels + 1
+    lengths = np.zeros(n)
+    v, _ = _perturb_zeros(values)
+    if v.any():
+        pa, pb, _, _, cell, adjacent = _contour_segments(v, grid.periodic_x, grid.periodic_y)
+        lab_sq = _wrap_pad(mask.labels, grid.periodic_x, grid.periodic_y)
+        w = lab_sq.shape[1]
+        corner = lab_sq.ravel()[cell[:, :1] * w + cell[:, 1:] + (_CORNER_DY * w + _CORNER_DX)]
+        corner[~adjacent] = 0
+        # sorted rows: a label repeated at a segment's corners counts once
+        corner.sort(axis=1)
+        keep = corner != 0
+        keep[:, 1:] &= corner[:, 1:] != corner[:, :-1]
+        seg = np.flatnonzero(keep) // 4
+        lab = corner[keep]
+        order = np.argsort(lab, kind="stable")    # segment order within a label
+        d = pb - pa
+        seg_len = np.hypot(d[:, 0], d[:, 1])[seg[order]]
+        present, first, count = np.unique(lab[order], return_index=True, return_counts=True)
+        for k, i, c in zip(present.tolist(), first.tolist(), count.tolist()):
+            lengths[k] = np.cumsum(seg_len[i:i + c])[-1]
+    lengths *= h
+    # outer walls
+    if not grid.periodic_y:
+        lengths += (np.bincount(mask.labels[0, :], minlength=n) * h
+                    + np.bincount(mask.labels[-1, :], minlength=n) * h)
+    if not grid.periodic_x:
+        lengths += (np.bincount(mask.labels[:, 0], minlength=n) * h
+                    + np.bincount(mask.labels[:, -1], minlength=n) * h)
+    return lengths
+
+
 def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = None) -> float:
     """H^1 length of a domain boundary, accurate to O(h).
 
     Counts the zero-contour segments adjacent to the domain plus, on
     non-periodic axes, the outer grid walls backing its cells (absorption
-    happens there for Dirichlet models).
+    happens there for Dirichlet models).  One contour gives the length of
+    every label: for the mask's own samples (field None or equal to them)
+    the table is built once and kept on the mask, as heat keeps its ADI
+    plans; any other field is contoured afresh and leaves it untouched.
     """
-    sel = mask.cells(label)
-    grid = mask.grid
-    values = field.values if field is not None else mask.field_values
-    if values.shape != sel.shape:
+    mask._check(label)
+    values = mask.field_values if field is None else field.values
+    if values.shape != mask.labels.shape:
         raise InvalidParameterError("field does not match the mask grid")
-    v, _ = _perturb_zeros(values)
-    total = 0.0
-    if v.any():
-        pa, pb, _, _, cell, adjacent = _contour_segments(v, grid.periodic_x, grid.periodic_y)
-        # a segment bounds the domain if a corner it borders is a domain cell
-        sel_sq = _wrap_pad(sel, grid.periodic_x, grid.periodic_y)
-        w = sel_sq.shape[1]
-        corner_in = sel_sq.ravel()[cell[:, :1] * w + cell[:, 1:] + (_CORNER_DY * w + _CORNER_DX)]
-        ours = (corner_in & adjacent).any(axis=1)
-        total = _chained_length(pa[ours], pb[ours])
-    total *= grid.h
-    # outer walls
-    h = grid.h
-    if not grid.periodic_y:
-        total += sel[0, :].sum() * h + sel[-1, :].sum() * h
-    if not grid.periodic_x:
-        total += sel[:, 0].sum() * h + sel[:, -1].sum() * h
-    return float(total)
+    own = field is None or np.array_equal(values, mask.field_values)
+    table = getattr(mask, "_boundary_table", None) if own else None
+    if table is None:
+        table = _boundary_lengths(values, mask)
+        if own:
+            mask._boundary_table = table
+    return float(table[label])
 
 
 # ---------------------------------------------------------------------------

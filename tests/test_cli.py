@@ -102,6 +102,26 @@ class TestExitCodes:
         err = self._usage_error(capsys, [experiment, "--grid", "0"], tmp_path)
         assert "grid" in err
 
+    @pytest.mark.parametrize("modes", ["abc", "1,,2", ""])
+    def test_theorem1_bad_modes(self, capsys, tmp_path, modes):
+        err = self._usage_error(capsys, ["theorem1", "--grid", "16", "--modes", modes],
+                                tmp_path)
+        assert "--modes" in err
+
+    @pytest.mark.parametrize("experiment", ["comparison", "thin-domain"])
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_nonpositive_t(self, capsys, tmp_path, experiment, t):
+        # --t 0 used to fall back to 1/lambda and --t -1 to blame dt
+        err = self._usage_error(capsys, [experiment, "--grid", "32", "--paths", "100",
+                                         "--t", t], tmp_path)
+        assert "--t" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, capsys, tmp_path, threads):
+        err = self._usage_error(capsys, ["suite", "--quick", "--threads", threads],
+                                tmp_path)
+        assert "--threads" in err
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_isoperimetry_rejects_too_few_steps(self, capsys, tmp_path, steps):
         err = self._usage_error(capsys, ["isoperimetry", "--grid", "32",

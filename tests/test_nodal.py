@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nodalheat as nh
+from nodalheat.bounds import theorem1_certificate
 from nodalheat.errors import InvalidParameterError, ResolutionWarning, UnknownLabelError
 from conftest import ConstantModel
 
@@ -316,6 +317,96 @@ class TestContourPinning:
         got = _pinned_geometry(field)
         assert got == (4, [length] * 4, total, poly)
         assert len(nh.extract_nodal_set(field).polylines) == n_chains
+
+
+@pytest.fixture
+def contour_calls(monkeypatch):
+    """Counts the calls of the marching-squares pass, by whoever makes them."""
+    calls = []
+    inner = nh.nodal._contour_segments
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(nh.nodal, "_contour_segments", counted)
+    return calls
+
+
+class TestBoundaryTable:
+    """Every label's boundary length comes from one contour, kept on the mask."""
+
+    def _torus(self, m, n=64):
+        model = nh.make_torus_eigenfunction(m, m)
+        field = nh.sample_field(model, nh.grid_for_model(model, n))
+        return model, field, nh.label_nodal_domains(field)
+
+    def test_theorem1_cost_independent_of_label_count(self, contour_calls):
+        per_field = []
+        for m in (1, 4):
+            model, _, _ = self._torus(m)
+            contour_calls.clear()
+            rep = theorem1_certificate(model, nh.grid_for_model(model, 64), n_steps=24)
+            assert rep.constants["n_domains"] == 4 * m * m
+            per_field.append(len(contour_calls))
+        # the nodal set once, every boundary length once
+        assert per_field[0] == per_field[1] <= 2
+
+    def test_repeated_calls_contour_once(self, contour_calls):
+        _, field, mask = self._torus(2)
+        first = [nh.boundary_length(mask, k) for k in range(1, mask.n_labels + 1)]
+        again = [nh.boundary_length(mask, k, field) for k in range(1, mask.n_labels + 1)]
+        assert len(contour_calls) == 1
+        assert first == again
+
+    def test_other_field_neither_reads_nor_touches_the_table(self, contour_calls):
+        _, field, mask = self._torus(1, 256)
+        other = nh.ScalarField(grid=field.grid, values=field.values + 0.25)
+        # a table built from other values is not kept
+        nh.boundary_length(mask, 2, other)
+        assert not hasattr(mask, "_boundary_table")
+        own = nh.boundary_length(mask, 2)
+        table = mask._boundary_table
+        kept = table.copy()
+        got = [nh.boundary_length(mask, k, other).hex() for k in range(1, 5)]
+        assert got == ["0x0.0p+0", "0x1.68dc4554ccb50p+0", "0x1.68dc4554ccb53p+0",
+                       "0x0.0p+0"]
+        assert mask._boundary_table is table and np.array_equal(table, kept)
+        assert nh.boundary_length(mask, 2) == own
+        # one contour per call on other values, one in all on the mask's own
+        assert len(contour_calls) == 1 + 4 + 1
+
+    @pytest.mark.parametrize("periodic", [(False, False), (True, False), (False, True),
+                                          (True, True)])
+    def test_matches_one_contour_per_label(self, periodic):
+        # reference: select the segments bordering one label, then sum them in order
+        field = _random_field(31, *periodic)
+        mask = nh.label_nodal_domains(field)
+        grid = mask.grid
+        v, _ = nh.nodal._perturb_zeros(field.values)
+        pa, pb, _, _, cell, adjacent = nh.nodal._contour_segments(
+            v, grid.periodic_x, grid.periodic_y)
+        for k in range(1, mask.n_labels + 1):
+            sel = nh.nodal._wrap_pad(mask.cells(k), grid.periodic_x, grid.periodic_y)
+            corner_in = sel[cell[:, :1] + nh.nodal._CORNER_DY, cell[:, 1:] + nh.nodal._CORNER_DX]
+            ours = (corner_in & adjacent).any(axis=1)
+            ref = nh.nodal._chained_length(pa[ours], pb[ours]) * grid.h
+            walls = mask.cells(k)
+            if not grid.periodic_y:
+                ref += walls[0, :].sum() * grid.h + walls[-1, :].sum() * grid.h
+            if not grid.periodic_x:
+                ref += walls[:, 0].sum() * grid.h + walls[:, -1].sum() * grid.h
+            assert nh.boundary_length(mask, k).hex() == float(ref).hex(), k
+
+    def test_errors(self):
+        _, _, mask = self._torus(1)
+        for label in (0, mask.n_labels + 1):
+            with pytest.raises(UnknownLabelError):
+                nh.boundary_length(mask, label)
+        small = nh.sample_field(nh.make_torus_eigenfunction(1, 1), nh.GridSpec(
+            nx=32, ny=32, periodic_x=True, periodic_y=True))
+        with pytest.raises(InvalidParameterError):
+            nh.boundary_length(mask, 1, small)
 
 
 def _reference_interpolant(values, grid, pts):
