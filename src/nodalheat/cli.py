@@ -35,19 +35,85 @@ from .nodal import (
 )
 from .stochastic import PathEnsembleConfig, cone_exit_exact, cone_exit_mc, ConeSpec
 
-EXPERIMENTS = [
-    "heat-content", "comparison", "theorem1", "max-point", "thin-domain",
-    "avoided-crossing", "cone", "isoperimetry", "global-survival",
-    "ball-search", "suite",
-]
-
 DEFAULT_SEED = 20260808
 
 
+def _positive(cast):
+    """argparse type: the text cast by `cast`, rejected unless positive."""
+    def parse(text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}")
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
+# Every flag: name -> argparse spec.  A flag's validation is its type=.
+FLAGS = {
+    "model": dict(default="torus:1,1",
+                  help="torus:m,n | rect:m,n,a,b | disk:m,k[,R] | cone:k"),
+    "grid": dict(type=int, default=256),
+    "domain": dict(type=int, default=0, help="0-based nodal domain index"),
+    "times": dict(default=None, help="a:b:n log-spaced"),
+    "steps": dict(type=int, default=96,
+                  help="ADI time steps (at least 10); rectangle domains are "
+                       "solved exactly in time and ignore it"),
+    "t": dict(type=_positive(float), default=None),
+    "paths": dict(type=int, default=100000),
+    "dt": dict(type=_positive(float), default=None, help="Monte Carlo time step"),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "bridge": dict(action=argparse.BooleanOptionalAction, default=True,
+                   help="Brownian-bridge crossing correction"),
+    "emit-fields": dict(action="store_true"),
+    "modes": dict(default="1,2,3,4"),
+    "c": dict(type=float, default=0.4),
+    "alpha": dict(type=float, default=None),
+    "lam-geom": dict(type=float, default=100.0),
+    "squares": dict(type=int, default=12),
+    "margin": dict(type=int, default=3),
+    "r": dict(type=float, default=2.0),
+    "k": dict(type=int, default=2),
+    "c1": dict(type=float, default=0.5),
+    "quick": dict(action="store_true"),
+    "threads": dict(type=_positive(int), default=1),
+    "out": dict(default="out"),
+    "config": dict(default=None, help="flat key=value file; explicit flags win"),
+}
+
+_WALK = ("paths", "dt", "seed", "bridge")
+
+# Experiment -> the flags its driver reads; every experiment also takes
+# --out and --config, and any other flag is a usage error.
+EXPERIMENT_FLAGS = {
+    "heat-content": ("model", "grid", "domain", "times", "steps", "emit-fields"),
+    "comparison": ("model", "grid", "domain", "t") + _WALK,
+    "theorem1": ("modes", "grid", "steps"),
+    "max-point": ("model", "grid", "domain", "t", "steps") + _WALK,
+    "thin-domain": ("model", "grid", "c", "t") + _WALK,
+    "avoided-crossing": ("alpha", "lam-geom", "squares", "margin") + _WALK,
+    "cone": ("alpha", "r", "k") + _WALK,
+    "isoperimetry": ("grid", "times", "steps"),
+    "global-survival": ("model", "grid", "steps", "emit-fields") + _WALK,
+    "ball-search": ("model", "grid", "domain", "t", "c1", "steps"),
+    "suite": ("quick", "seed", "threads"),
+}
+
+# Experiment defaults that differ from the flag table's.
+EXPERIMENT_DEFAULTS = {
+    "heat-content": dict(times="1e-5:1e-4:8", grid=1024, steps=64),
+    "avoided-crossing": dict(alpha=0.75),
+    "isoperimetry": dict(grid=384, steps=64),
+    "global-survival": dict(paths=0),
+}
+
+EXPERIMENTS = list(EXPERIMENT_FLAGS)
+
+
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
     return str(x)
 
@@ -100,7 +166,7 @@ def load_config_file(path: str) -> dict:
 # report emission
 # ---------------------------------------------------------------------------
 
-def emit_report(report, out_dir: str, emit_fields: bool = False) -> list:
+def emit_report(report, out_dir: str) -> list:
     """One structured-text report plus CSV tables; byte-stable across reruns."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -129,8 +195,6 @@ def emit_report(report, out_dir: str, emit_fields: bool = False) -> list:
     paths.append(rp)
 
     for cname, arr in sorted(report.curves.items()):
-        if cname == "field" and not emit_fields:
-            continue
         arr = np.asarray(arr)
         cp = os.path.join(out_dir, f"{report.name}.{cname}.csv")
         with open(cp, "w") as fh:
@@ -211,7 +275,7 @@ def run_comparison(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     _, _, mask, label = _mask_label(model, ns.grid, ns.domain)
     t = _eigen_time(ns, model)
-    cfg = _path_cfg(ns, t, 200)
+    cfg = _path_cfg(ns, t / 200)
     return bounds.check_comparison_lemma(model, mask, label, None, t, cfg)
 
 
@@ -298,7 +362,7 @@ def run_max_point(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     _, _, mask, label = _mask_label(model, ns.grid, ns.domain)
     t = _eigen_time(ns, model)
-    cfg = _path_cfg(ns, t, 200)
+    cfg = _path_cfg(ns, t / 200)
     return bounds.max_point_survival(model, mask, label, t, cfg, n_steps=ns.steps)
 
 
@@ -312,21 +376,18 @@ def run_thin_domain(ns) -> bounds.ExperimentReport:
     tube = bounds.TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)),
                            half_width=ns.c / math.sqrt(lam))
     t = ns.t if ns.t is not None else 1.0 / lam
-    cfg = _path_cfg(ns, t, 500)
+    cfg = _path_cfg(ns, t / 500)
     return bounds.thin_domain_check(model, tube, t, cfg, grid_n=ns.grid)
 
 
 def run_avoided_crossing(ns) -> bounds.ExperimentReport:
     cor = bounds.CorridorSpec(lam_geom=ns.lam_geom, n_covered=ns.squares,
                               n_margin=ns.margin)
-    cfg = PathEnsembleConfig(n_paths=ns.paths, dt=ns.dt, seed=ns.seed,
-                             bridge_correction=ns.bridge)
-    return bounds.avoided_crossing_scan(cor, ns.alpha, cfg)
+    return bounds.avoided_crossing_scan(cor, ns.alpha, _path_cfg(ns))
 
 
 def run_cone(ns) -> bounds.ExperimentReport:
-    cfg = PathEnsembleConfig(n_paths=ns.paths, dt=ns.dt if ns.dt else 1e-3,
-                             seed=ns.seed, bridge_correction=ns.bridge)
+    cfg = _path_cfg(ns, 1e-3)
     if ns.alpha is not None:
         spec = ConeSpec(alpha=ns.alpha, r=ns.r)
         exact = cone_exit_exact(spec)
@@ -355,10 +416,7 @@ def run_isoperimetry(ns) -> bounds.ExperimentReport:
 def run_global_survival(ns) -> bounds.ExperimentReport:
     model = parse_model(ns.model)
     grid = grid_for_model(model, ns.grid)
-    cfg = None
-    if ns.paths:
-        cfg = PathEnsembleConfig(n_paths=ns.paths, dt=ns.dt, seed=ns.seed,
-                                 bridge_correction=ns.bridge)
+    cfg = _path_cfg(ns) if ns.paths else None
     rep = bounds.global_survival_field(model, grid, cfg, n_steps=ns.steps)
     if not ns.emit_fields:
         rep.curves.pop("field", None)
@@ -373,82 +431,67 @@ def run_ball_search(ns) -> bounds.ExperimentReport:
                                            n_steps=ns.steps)
 
 
-def _path_cfg(ns, t, default_steps) -> PathEnsembleConfig:
-    dt = ns.dt if ns.dt else t / default_steps
-    return PathEnsembleConfig(n_paths=ns.paths, dt=dt, seed=ns.seed,
-                              bridge_correction=ns.bridge)
+def _path_cfg(ns, default_dt=None) -> PathEnsembleConfig:
+    """The walk flags --paths, --dt, --seed and --bridge as an ensemble config."""
+    return PathEnsembleConfig(n_paths=ns.paths, dt=default_dt if ns.dt is None else ns.dt,
+                              seed=ns.seed, bridge_correction=ns.bridge)
 
 
 # ---------------------------------------------------------------------------
 # the suite
 # ---------------------------------------------------------------------------
 
-def _suite_jobs(ns):
-    """(name, argv) pairs for every acceptance experiment at suite scale."""
-    q = ns.quick
-    seed = ns.seed
-    jobs = [
-        ("heat-content", ["heat-content", "--grid", "256" if q else "1024",
-                          "--times", "4e-5:4e-4:6" if q else "1e-5:1e-4:8",
-                          "--steps", "32" if q else "64"]),
-        ("comparison", ["comparison", "--paths", "2000" if q else "20000",
-                        "--grid", "128" if q else "256"]),
-        ("theorem1", ["theorem1", "--modes", "1,2" if q else "1,2,3,4",
-                      "--grid", "128" if q else "256",
-                      "--steps", "48" if q else "96"]),
-        ("max-point", ["max-point", "--paths", "5000" if q else "100000",
-                       "--grid", "128" if q else "256"]),
-        ("thin-domain", ["thin-domain", "--c", "0.4",
-                         "--paths", "20000" if q else "100000",
-                         "--grid", "128" if q else "256"]),
-        ("avoided-crossing", ["avoided-crossing",
-                              "--paths", "20000" if q else "100000",
-                              "--squares", "8" if q else "12"]),
-        ("cone", ["cone", "--k", "2", "--paths", "20000" if q else "100000",
-                  "--dt", "1e-3" if q else "5e-4"]),
-        ("isoperimetry", ["isoperimetry", "--grid", "192" if q else "384",
-                          "--steps", "32" if q else "64"]),
-        ("global-survival", ["global-survival",
-                             "--grid", "128" if q else "256"]),
-        ("ball-search", ["ball-search", "--grid", "128" if q else "256"]),
-    ]
-    out = []
-    for name, argv in jobs:
-        out.append((name, argv + ["--seed", str(seed)]))
-    return out
+# (quick, full) command line of every acceptance experiment at suite scale
+_SUITE_JOBS = [
+    ("heat-content --grid 256 --times 4e-5:4e-4:6 --steps 32",
+     "heat-content --grid 1024 --times 1e-5:1e-4:8 --steps 64"),
+    ("comparison --paths 2000 --grid 128", "comparison --paths 20000 --grid 256"),
+    ("theorem1 --modes 1,2 --grid 128 --steps 48",
+     "theorem1 --modes 1,2,3,4 --grid 256 --steps 96"),
+    ("max-point --paths 5000 --grid 128", "max-point --paths 100000 --grid 256"),
+    ("thin-domain --c 0.4 --paths 20000 --grid 128",
+     "thin-domain --c 0.4 --paths 100000 --grid 256"),
+    ("avoided-crossing --paths 20000 --squares 8",
+     "avoided-crossing --paths 100000 --squares 12"),
+    ("cone --k 2 --paths 20000 --dt 1e-3", "cone --k 2 --paths 100000 --dt 5e-4"),
+    ("isoperimetry --grid 192 --steps 32", "isoperimetry --grid 384 --steps 64"),
+    ("global-survival --grid 128", "global-survival --grid 256"),
+    ("ball-search --grid 128", "ball-search --grid 256"),
+]
+
+
+def _suite_jobs(ns) -> list:
+    """The suite's command lines; --seed goes to the experiments that read it."""
+    jobs = [(quick if ns.quick else full).split() for quick, full in _SUITE_JOBS]
+    return [argv + ["--seed", str(ns.seed)] if "seed" in EXPERIMENT_FLAGS[argv[0]]
+            else argv for argv in jobs]
 
 
 def run_suite(ns) -> int:
     parser = build_parser()
-    jobs = _suite_jobs(ns)
 
-    def run_one(item):
-        name, argv = item
+    def run_one(argv):
+        name = argv[0]
         sub_ns = parser.parse_args(argv + ["--out", ns.out])
         try:
             rep = _run_recording_warnings(name, sub_ns)
         except Exception as exc:   # a crashed job must not kill the suite
             rep = bounds.ExperimentReport(name=name, claim="(crashed)")
             rep.check("completed", False, f"{type(exc).__name__}: {exc}")
-        return name, rep, sub_ns
+        return name, rep
 
-    if ns.threads > 1:
-        with ThreadPoolExecutor(max_workers=ns.threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=ns.threads) as pool:
+        results = list(pool.map(run_one, _suite_jobs(ns)))
 
     lines = []
     worst = 0
-    for name, rep, sub_ns in results:
-        emit_report(rep, ns.out, emit_fields=sub_ns.emit_fields)
+    for name, rep in results:
+        emit_report(rep, ns.out)
         lines.append(f"{name} = {rep.verdict}")
         print(f"[{rep.verdict.upper():11s}] {name}")
         if rep.verdict == "fail":
             worst = 1
-    summary = os.path.join(ns.out, "suite_summary.txt")
-    os.makedirs(ns.out, exist_ok=True)
-    with open(summary, "w") as fh:
+    with open(os.path.join(ns.out, "suite_summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return worst
 
@@ -458,12 +501,7 @@ def _run_recording_warnings(name, ns) -> bounds.ExperimentReport:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = DISPATCH[name](ns)
-    seen = []
-    for w in caught:
-        msg = f"warning: {w.message}"
-        if msg not in seen:
-            seen.append(msg)
-    rep.notes.extend(seen)
+    rep.notes.extend(dict.fromkeys(f"warning: {w.message}" for w in caught))
     return rep
 
 
@@ -481,113 +519,73 @@ DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is one `error:` line on stderr and exit status 2."""
+
+    def error(self, message):
+        if message.startswith("argument EXPERIMENT") or message.endswith("EXPERIMENT"):
+            message = (message.split(" (choose from")[0]
+                       + "; valid experiments: " + ", ".join(EXPERIMENTS))
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="nodalheat",
-        description="heat-flow and Brownian-motion experiments on nodal domains")
+    p = _Parser(prog="nodalheat",
+                description="heat-flow and Brownian-motion experiments on nodal domains")
     sub = p.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-
-    def common(sp):
-        sp.add_argument("--config", default=None, help="flat key=value file")
-        sp.add_argument("--model", default="torus:1,1")
-        sp.add_argument("--grid", type=int, default=256)
-        sp.add_argument("--domain", type=int, default=0,
-                        help="0-based nodal domain index")
-        sp.add_argument("--times", default=None, help="a:b:n log-spaced")
-        sp.add_argument("--paths", type=int, default=100000)
-        sp.add_argument("--dt", type=float, default=None,
-                        help="Monte Carlo time step; the avoided-crossing "
-                             "walk is exact in time and only validates it "
-                             "(at most t/100); the cone exit law is a "
-                             "walk-on-spheres with no time step, so in cone "
-                             "--dt only sets the bias allowance of its checks")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--bridge", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="Brownian-bridge crossing correction of the "
-                             "time-stepped walks (grid, line, interval, "
-                             "wedge); the cone exit walk-on-spheres ignores "
-                             "it, but it still selects the cone bias allowance")
-        sp.add_argument("--out", default="out")
-        sp.add_argument("--emit-fields", action="store_true")
-        sp.add_argument("--steps", type=int, default=96,
-                        help="ADI time steps (at least 10); rectangle domains "
-                             "are solved exactly in time and ignore it")
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--quick", action="store_true")
-        sp.add_argument("--threads", type=int, default=1)
-
-    sp = sub.add_parser("heat-content"); common(sp)
-    sp.set_defaults(times="1e-5:1e-4:8", grid=1024, steps=64)
-    sp = sub.add_parser("comparison"); common(sp)
-    sp = sub.add_parser("theorem1"); common(sp)
-    sp.add_argument("--modes", default="1,2,3,4")
-    sp = sub.add_parser("max-point"); common(sp)
-    sp = sub.add_parser("thin-domain"); common(sp)
-    sp.add_argument("--c", type=float, default=0.4)
-    sp = sub.add_parser("avoided-crossing"); common(sp)
-    sp.add_argument("--alpha", type=float, default=0.75)
-    sp.add_argument("--lam-geom", type=float, default=100.0)
-    sp.add_argument("--squares", type=int, default=12)
-    sp.add_argument("--margin", type=int, default=3)
-    sp = sub.add_parser("cone"); common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--r", type=float, default=2.0)
-    sp.add_argument("--k", type=int, default=2)
-    sp = sub.add_parser("isoperimetry"); common(sp)
-    sp.set_defaults(grid=384, steps=64)
-    sp = sub.add_parser("global-survival"); common(sp)
-    sp.set_defaults(paths=0)
-    sp = sub.add_parser("ball-search"); common(sp)
-    sp.add_argument("--c1", type=float, default=0.5)
-    sp = sub.add_parser("suite"); common(sp)
+    for name, flags in EXPERIMENT_FLAGS.items():
+        sp = sub.add_parser(name)
+        for flag in flags + ("out", "config"):
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
+        sp.set_defaults(**EXPERIMENT_DEFAULTS.get(name, {}))
     return p
 
 
-def apply_config_file(ns, argv=None):
-    if getattr(ns, "config", None):
-        file_vals = load_config_file(ns.config)
-        raw = sys.argv[1:] if argv is None else argv
-        argv_keys = {a.lstrip("-").replace("-", "_") for a in raw}
-        for key, val in file_vals.items():
-            if not hasattr(ns, key) or key in argv_keys:
-                continue
-            cur = getattr(ns, key)
-            if isinstance(cur, bool):
-                setattr(ns, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int):
-                setattr(ns, key, int(val))
-            elif isinstance(cur, float) or cur is None and key in ("dt", "t"):
-                setattr(ns, key, float(val))
-            else:
-                setattr(ns, key, val)
-    return ns
+def _config_args(parser, path: str, experiment: str) -> list:
+    """A config file as flag tokens: `key = value` becomes `--key=value`."""
+    try:
+        values = load_config_file(path)
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
+    args = []
+    for key, val in values.items():
+        flag = key.replace("_", "-")
+        if flag not in EXPERIMENT_FLAGS[experiment] + ("out",):
+            parser.error(f"config key {key!r} is not a flag of {experiment}")
+        action = FLAGS[flag].get("action")
+        if action is None:
+            args.append(f"--{flag}={val}")
+            continue
+        if val.lower() in ("1", "true", "yes"):
+            args.append(f"--{flag}")
+        elif action is argparse.BooleanOptionalAction:
+            args.append(f"--no-{flag}")
+    return args
 
 
-def _check_common_args(ns):
-    """Reject values of the shared flags that no experiment can run with."""
-    if ns.t is not None and not ns.t > 0:
-        raise InvalidParameterError(f"--t must be positive, got {ns.t!r}")
-    if ns.threads < 1:
-        raise InvalidParameterError(f"--threads must be at least 1, got {ns.threads}")
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line.  A --config file's lines go in as flags ahead
+    of the command line's own, so an explicit flag wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is None:
+        return ns
+    at = argv.index(ns.experiment) + 1
+    return parser.parse_args(argv[:at] + _config_args(parser, ns.config, ns.experiment)
+                             + argv[at:])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            print("valid experiments: " + ", ".join(EXPERIMENTS), file=sys.stderr)
-            return 2
-        return 0
+        ns = parse_args(argv)
+    except SystemExit as exc:       # --help, or a usage error already printed
+        return exc.code
     try:
-        ns = apply_config_file(ns, argv)
-        _check_common_args(ns)
         if ns.experiment == "suite":
             return run_suite(ns)
         rep = _run_recording_warnings(ns.experiment, ns)
-        paths = emit_report(rep, ns.out, emit_fields=ns.emit_fields)
+        paths = emit_report(rep, ns.out)
         print(f"[{rep.verdict.upper()}] {rep.name}: " + ", ".join(paths))
         return 0 if rep.verdict in ("pass", "report-only") else 1
     except (InvalidParameterError, EmptyDomainError, OSError) as exc:

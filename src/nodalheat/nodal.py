@@ -503,35 +503,29 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
     combined[neg] = lab_neg[neg] + n_pos
     n_raw = n_pos + n_neg
 
-    parent = np.arange(n_raw + 1)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    def merge_seam(a, b):
-        both = (a > 0) & (b > 0)
-        for i, j in zip(a[both], b[both]):
-            union(i, j)
-
+    # periodic axes: one graph edge per same-sign cell pair across the seam
+    edges = [np.zeros((2, 0), dtype=np.int64)]
     if grid.periodic_x and grid.nx > 1:
         same_sign = (pos[:, 0] & pos[:, -1]) | (neg[:, 0] & neg[:, -1])
-        merge_seam(np.where(same_sign, combined[:, 0], 0),
-                   np.where(same_sign, combined[:, -1], 0))
+        edges.append(np.stack([combined[same_sign, 0], combined[same_sign, -1]]))
     if grid.periodic_y and grid.ny > 1:
         same_sign = (pos[0, :] & pos[-1, :]) | (neg[0, :] & neg[-1, :])
-        merge_seam(np.where(same_sign, combined[0, :], 0),
-                   np.where(same_sign, combined[-1, :], 0))
+        edges.append(np.stack([combined[0, same_sign], combined[-1, same_sign]]))
+    a, b = np.concatenate(edges, axis=1)
 
-    roots = np.array([find(i) for i in range(n_raw + 1)])
-    merged = roots[combined].ravel()
+    # components of that graph: hook each root to the smallest root it meets,
+    # then compress to roots, until every edge joins one root; pointers only
+    # ever decrease, and raw label 0 (exact zeros) is on no edge
+    root = np.arange(n_raw + 1)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    merged = root[combined].ravel()
 
     # canonical relabel: order by first raster occurrence
     found, first = np.unique(merged, return_index=True)

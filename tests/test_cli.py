@@ -1,4 +1,7 @@
+import argparse
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,11 +49,61 @@ class TestParsing:
         vals = cli.load_config_file(str(cfgf))
         assert vals == {"grid": "64", "seed": "7", "bridge": "false"}
 
+    def test_config_bool_keys(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("bridge = false\n")
+        assert cli.parse_args(["cone", "--config", str(cfgf)]).bridge is False
+        # an explicit flag still wins over the file
+        assert cli.parse_args(["cone", "--config", str(cfgf), "--bridge"]).bridge is True
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _dests(subparser):
+    return {a.dest for a in subparser._actions if a.dest != "help"}
+
+
+def _reads(fn):
+    """The ns attributes a driver reads, through the cli helpers it hands ns to."""
+    src = inspect.getsource(fn)
+    names = set(re.findall(r"\bns\.(\w+)", src))
+    for helper in set(re.findall(r"\b(_\w+)\(ns\b", src)) - {fn.__name__}:
+        names |= _reads(getattr(cli, helper))
+    return names
+
+
+class TestFlagTable:
+    def test_each_experiment_takes_what_its_driver_reads(self):
+        subparsers = _subparsers()
+        assert list(subparsers) == cli.EXPERIMENTS
+        for name, sp in subparsers.items():
+            driver = cli.run_suite if name == "suite" else cli.DISPATCH[name]
+            assert _dests(sp) == _reads(driver) | {"out", "config"}, name
+
+    def test_settable_value_count(self):
+        # 15 shared flags on all 11 subcommands plus 10 own flags made 175
+        assert sum(len(_dests(sp)) for sp in _subparsers().values()) == 91
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_suite_jobs_parse(self, quick):
+        parser = cli.build_parser()
+        jobs = cli._suite_jobs(argparse.Namespace(quick=quick, seed=7))
+        assert [argv[0] for argv in jobs] == cli.EXPERIMENTS[:-1]
+        for argv in jobs:
+            ns = parser.parse_args(argv + ["--out", "unused"])
+            assert getattr(ns, "seed", 7) == 7
+
 
 class TestExitCodes:
     def test_unknown_experiment(self, capsys):
         assert cli.main(["frobnicate"]) == 2
-        assert "valid experiments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "valid experiments" in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_pass_run(self, tmp_path):
         rc = cli.main(["cone", "--alpha", "1.5707963267948966", "--r", "2",
@@ -96,6 +149,34 @@ class TestExitCodes:
         err = self._usage_error(capsys, ["avoided-crossing", "--dt", "1",
                                          "--paths", "100"], tmp_path)
         assert "dt" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem1", "--model", "disk:0,1"],
+        ["suite", "--grid", "64"],
+        ["cone", "--grid", "64"],
+        ["heat-content", "--paths", "5"],
+        ["isoperimetry", "--seed", "3"],
+        ["comparison", "--quick"],
+        ["heat-content", "--frobnicate", "1"],
+        ["heat-content", "--grid", "x"],
+    ])
+    def test_flag_not_read_or_malformed(self, capsys, tmp_path, argv):
+        err = self._usage_error(capsys, argv, tmp_path)
+        assert argv[1] in err
+
+    @pytest.mark.parametrize("experiment", ["comparison", "cone", "avoided-crossing"])
+    @pytest.mark.parametrize("dt", ["0", "-1"])
+    def test_nonpositive_dt(self, capsys, tmp_path, experiment, dt):
+        # --dt 0 used to fall back to the default step
+        err = self._usage_error(capsys, [experiment, "--paths", "100", "--dt", dt],
+                                tmp_path)
+        assert "--dt" in err
+
+    def test_config_key_not_read(self, capsys, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("model = disk:0,1\n")
+        err = self._usage_error(capsys, ["theorem1", "--config", str(cfgf)], tmp_path)
+        assert "'model'" in err
 
     @pytest.mark.parametrize("experiment", ["theorem1", "heat-content"])
     def test_grid_below_two_cells(self, capsys, tmp_path, experiment):
@@ -210,6 +291,13 @@ class TestArtifacts:
         assert rc in (0, 1)
         text = read(out2 / "heat-content.report.txt").decode()
         assert "grid = 96" in text
+
+    def test_config_file_values_get_flag_types(self, tmp_path):
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text("alpha = 1.5\nr = 2\npaths = 2000\n")
+        assert cli.main(["cone", "--config", str(cfgf), "--out", str(tmp_path)]) == 0
+        text = read(tmp_path / "cone.report.txt").decode()
+        assert "alpha = 1.5\n" in text and "r = 2\n" in text
 
     def test_report_names_tolerances(self, tmp_path):
         cli.main(["cone", "--alpha", "1.5707963267948966", "--r", "2",
