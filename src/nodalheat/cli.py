@@ -51,13 +51,35 @@ def _positive(cast):
     return parse
 
 
+def parse_times(spec: str) -> np.ndarray:
+    """a:b:n -> n log-spaced times in [a, b]; needs 0 < a < b."""
+    try:
+        a, b, n = spec.split(":")
+        lo, hi = float(a), float(b)
+        if not hi > lo:
+            raise ValueError(f"the end {b} must exceed the start {a}")
+        return np.logspace(math.log10(lo), math.log10(hi), int(n))
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad times spec {spec!r}: {exc}")
+
+
+def _times_flag(text: str) -> str:
+    """argparse type of --times: the spec as given, once parse_times accepts it."""
+    try:
+        parse_times(text)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 # Every flag: name -> argparse spec.  A flag's validation is its type=.
 FLAGS = {
     "model": dict(default="torus:1,1",
                   help="torus:m,n | rect:m,n,a,b | disk:m,k[,R] | cone:k"),
     "grid": dict(type=int, default=256),
     "domain": dict(type=int, default=0, help="0-based nodal domain index"),
-    "times": dict(default=None, help="a:b:n log-spaced"),
+    "times": dict(type=_times_flag, default=None,
+                  help="a:b:n, n log-spaced times from a to b > a"),
     "steps": dict(type=int, default=96,
                   help="ADI time steps (at least 10); rectangle domains are "
                        "solved exactly in time and ignore it"),
@@ -76,7 +98,7 @@ FLAGS = {
     "margin": dict(type=int, default=3),
     "r": dict(type=float, default=2.0),
     "k": dict(type=int, default=2),
-    "c1": dict(type=float, default=0.5),
+    "c1": dict(type=_positive(float), default=0.5),
     "quick": dict(action="store_true"),
     "threads": dict(type=_positive(int), default=1),
     "out": dict(default="out"),
@@ -138,15 +160,6 @@ def parse_model(spec: str):
         raise InvalidParameterError(f"bad model spec {spec!r}: {exc}")
     raise InvalidParameterError(
         f"unknown model kind {kind!r} (use torus|rect|disk|cone)")
-
-
-def parse_times(spec: str) -> np.ndarray:
-    """a:b:n -> n log-spaced times in [a, b]."""
-    try:
-        a, b, n = spec.split(":")
-        return np.logspace(math.log10(float(a)), math.log10(float(b)), int(n))
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad times spec {spec!r}: {exc}")
 
 
 def load_config_file(path: str) -> dict:

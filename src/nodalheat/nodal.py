@@ -712,22 +712,38 @@ def interpolate_with_gradient(values: np.ndarray, grid: GridSpec, pts: np.ndarra
             f"values shape {table.shape} matches neither the grid ({ny}, {nx}) "
             "nor its ghost table")
     pts = np.asarray(pts, dtype=float)
-    x = pts[..., 0]
-    y = pts[..., 1]
+    shape = pts.shape[:-1]
+    if len(shape) != 1:     # the work below runs in place on 1-d arrays
+        pts = pts.reshape(-1, 2)
+    x = pts[:, 0]
+    y = pts[:, 1]
     h = grid.h
 
-    fx = (x - grid.x0) / h - 0.5
-    fy = (y - grid.y0) / h - 0.5
+    fx = x - grid.x0
+    fx /= h
+    fx -= 0.5
+    fy = y - grid.y0
+    fy /= h
+    fy -= 0.5
     inside = np.ones(x.shape, dtype=bool)
 
     def axis_index(f, n, periodic):
-        # table index of the lower corner; the upper one is the next entry
+        # (table index of the lower corner, the fraction f - floor(f) in
+        # place of f, in-range flag or None); the upper corner is the next entry
         fl = np.floor(f)
         i0 = fl.astype(np.intp)
+        ok = None
         if periodic:
-            return i0 % n + 1, f - fl, None
-        ok = (f >= -0.5 - 1e-12) & (f <= n - 0.5 + 1e-12)
-        return np.clip(i0, -1, n - 1) + 1, f - fl, ok
+            # ghost index 0 holds index n's value, so only indices outside
+            # [-1, n) need the mod
+            if i0.size and (i0.min() < -1 or i0.max() >= n):
+                i0 %= n
+        else:
+            ok = (f >= -0.5 - 1e-12) & (f <= n - 0.5 + 1e-12)
+            np.clip(i0, -1, n - 1, out=i0)
+        i0 += 1
+        f -= fl
+        return i0, f, ok
 
     ix, tx, okx = axis_index(fx, nx, grid.periodic_x)
     iy, ty, oky = axis_index(fy, ny, grid.periodic_y)
@@ -737,15 +753,45 @@ def interpolate_with_gradient(values: np.ndarray, grid: GridSpec, pts: np.ndarra
         inside &= oky
 
     w = nx + 2
-    base = iy * w + ix
+    base = iy
+    base *= w
+    base += ix
     v00 = table.take(base)
-    v10 = table.take(base + 1)
-    v01 = table.take(base + w)
-    v11 = table.take(base + (w + 1))
+    base += 1
+    v10 = table.take(base)
+    base += w
+    v11 = table.take(base)
+    base -= 1
+    v01 = table.take(base)
 
+    # the products and sums run in the order of
+    # f = v00 sx sy + v10 tx sy + v01 sx ty + v11 tx ty, one buffer each
     sx = 1 - tx
     sy = 1 - ty
-    f = v00 * sx * sy + v10 * tx * sy + v01 * sx * ty + v11 * tx * ty
-    gx = ((v10 - v00) * sy + (v11 - v01) * ty) / h
-    gy = ((v01 - v00) * sx + (v11 - v10) * tx) / h
+    f = v00 * sx
+    f *= sy
+    tmp = v10 * tx
+    tmp *= sy
+    f += tmp
+    np.multiply(v01, sx, out=tmp)
+    tmp *= ty
+    f += tmp
+    np.multiply(v11, tx, out=tmp)
+    tmp *= ty
+    f += tmp
+    # gx = ((v10 - v00) sy + (v11 - v01) ty) / h and its transpose for gy
+    gx = v10 - v00
+    gx *= sy
+    np.subtract(v11, v01, out=tmp)
+    tmp *= ty
+    gx += tmp
+    gx /= h
+    gy = v01 - v00
+    gy *= sx
+    np.subtract(v11, v10, out=tmp)
+    tmp *= tx
+    gy += tmp
+    gy /= h
+    if len(shape) != 1:
+        return f.reshape(shape), gx.reshape(shape), gy.reshape(shape), inside.reshape(shape)
     return f, gx, gy, inside

@@ -10,12 +10,13 @@ Reproducibility: increments for step k of an ensemble come from a
 counter-based generator keyed by (seed, stream, k), so results are pure
 functions of (inputs, config) regardless of how the ensemble is scheduled.
 Two estimators called with the same config see bitwise identical paths,
-which makes shared-path identities exact.  The time-stepped walks (grid
-domain, line, interval, wedge) share one engine, `_absorbing_walk`, which
-draws one step per generator call.  The cone exit law is a harmonic measure
-with no time horizon, so `cone_exit_mc` samples it by walk-on-spheres
-instead: no time step, and every path runs until it is within
-`CONE_SHELL` of the boundary.
+which makes shared-path identities exact.  A walk owns one Philox generator
+and re-keys it for each step (`_keyed_stream`); the draws equal those of a
+generator built for the step's key.  The time-stepped walks (grid domain,
+line, interval, wedge) share one engine, `_absorbing_walk`, which draws one
+step per re-keying.  The cone exit law is a harmonic measure with no time
+horizon, so `cone_exit_mc` samples it by walk-on-spheres instead: no time
+step, and every path runs until it is within `CONE_SHELL` of the boundary.
 """
 
 from __future__ import annotations
@@ -53,7 +54,14 @@ _MAX_DIST = 1e100
 
 def _level_set_distance(f, gx, gy):
     """First-order distance to the zero set of the interpolant, capped."""
-    return np.minimum(np.abs(f) / np.maximum(np.hypot(gx, gy), _TINY_GRAD), _MAX_DIST)
+    # sqrt(gx^2 + gy^2) is within an ulp of np.hypot and far cheaper
+    g = gx * gx
+    g += gy * gy
+    np.sqrt(g, out=g)
+    np.maximum(g, _TINY_GRAD, out=g)
+    d = np.abs(f)
+    d /= g
+    return np.minimum(d, _MAX_DIST, out=d)
 
 
 @dataclass(frozen=True)
@@ -122,13 +130,35 @@ _STREAMS = {
 }
 
 
-def _step_rng(seed: int, stream, k: int) -> np.random.Generator:
+def _keyed_stream(seed: int, stream):
+    """rng(k) for the counters k of one stream, all served by one generator.
+
+    rng(k) re-keys one Philox with (seed, tag << 56 | base + k) at counter 0
+    and an empty buffer, the state Philox(key=...) starts in, so it draws
+    what a generator built for that key draws.  Building a Philox reads OS
+    entropy and costs several re-keyings.  Each call makes its own
+    generator, so walks on different threads share none.
+    """
     tag, base, span = stream
-    if not 0 <= k < span:
-        raise ValueError(f"counter {k} outside RNG stream {stream}")
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64((tag << 56) | (base + k))], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (tag << 56) | base], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    state["state"]["key"] = key
+
+    def rng(k: int) -> np.random.Generator:
+        if not 0 <= k < span:
+            raise ValueError(f"counter {k} outside RNG stream {stream}")
+        key[1] = (tag << 56) | (base + k)
+        bitgen.state = state
+        return gen
+
+    return rng
+
+
+def _step_rng(seed: int, stream, k: int) -> np.random.Generator:
+    """A generator for counter k of the stream, for a single draw."""
+    return _keyed_stream(seed, stream)(k)
 
 
 def _steps_for(t: float, cfg: PathEnsembleConfig):
@@ -148,24 +178,27 @@ def _absorbing_walk(events, pos, aux, n_steps: int, dt: float, seed: int,
 
     Only live paths are held, compacted in order.  Step k draws Normal(0, 2 dt)
     increments (m, d) for the m live paths, then uniforms (m, n_uniform), from
-    _step_rng(seed, stream, k).  events(prev, new, aux, u) maps the step's start
-    and end points (m, d) to (dead, aux at the end, new); the new points it
-    returns may be remapped.  A path is killed at its first dead step and ends
-    there; end is the last point of paths live after n_steps.
+    counter k of the stream (_keyed_stream).  events(prev, new, aux, u) maps
+    the step's start and end points (m, d) to (dead, aux at the end, new); the
+    new points it returns may be remapped.  A path is killed at its first dead
+    step and ends there; end is the last point of paths live after n_steps.
     """
     n, d = pos.shape
     sigma = math.sqrt(2 * dt)
     killed = np.zeros(n, dtype=bool)
     end = pos.copy()
     live = np.arange(n)
+    rng_at = _keyed_stream(seed, stream)
     for k in range(n_steps):
         if not live.size:
             break
         m = live.size
-        rng = _step_rng(seed, stream, k)
-        inc = rng.standard_normal((m, d)) * sigma
+        rng = rng_at(k)
+        new = rng.standard_normal((m, d))
+        new *= sigma
+        new += pos
         u = rng.random((m, n_uniform)) if n_uniform else None
-        dead, aux, new = events(pos, pos + inc, aux, u)
+        dead, aux, new = events(pos, new, aux, u)
         sel = np.flatnonzero(dead)
         if sel.size:
             idx = live[sel]
@@ -192,10 +225,11 @@ def _wrap(pos: np.ndarray, grid):
                                     (1, grid.periodic_y, grid.y0, grid.extent_y)):
         if periodic:
             a = pos[:, c] - lo
-            out = (a < 0) | (a >= period)
+            out = a < 0
+            out |= a >= period
             if out.any():
                 a[out] = np.mod(a[out], period)
-            pos[:, c] = lo + a
+            np.add(a, lo, out=pos[:, c])
 
 
 def _field_table(mask: DomainMask) -> np.ndarray:
@@ -226,14 +260,24 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
     # Freed at once, it leaves the heap top free, glibc trims it, and every
     # step faults the pages back in (5x the page faults at 100000 paths).
     held = []
+    walled = not (grid.periodic_x and grid.periodic_y)    # else inside is all True
 
     def events(prev, new, dist, u):
         _wrap(new, grid)
         f, gx, gy, inside = held[:] = interpolate_with_gradient(table, grid, new)
-        dead = (~inside) | (sign * f <= 0)
         d1 = _level_set_distance(f, gx, gy)
+        f *= sign       # exact for sign = +-1
+        dead = f <= 0
+        if walled:
+            dead |= np.logical_not(inside, out=inside)
         if u is not None:
-            dead |= u[:, 0] < np.exp(-np.minimum(dist * d1 / dt, 700.0))
+            # the crossing probability exp(-min(dist d1 / dt, 700)), in place
+            p = dist * d1
+            p /= dt
+            np.minimum(p, 700.0, out=p)
+            np.negative(p, out=p)
+            np.exp(p, out=p)
+            dead |= u[:, 0] < p
         return dead, d1, new
 
     absorbed[live], pos[live] = _absorbing_walk(
@@ -462,14 +506,15 @@ def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:
     radius is below CONE_SHELL, and it reached r iff the arc is nearer than
     the walls.  The exit law is a harmonic measure with no time horizon, so
     there is no time step and no step cap: cfg.dt and cfg.bridge_correction
-    are not read.  Step k draws the live paths' angles from
-    _step_rng(seed, cone stream, k).
+    are not read.  Step k draws the live paths' angles from counter k of
+    the cone stream.
     """
     ux, uy = math.cos(spec.alpha / 2), math.sin(spec.alpha / 2)
     reached = np.zeros(cfg.n_paths, dtype=bool)
     live = np.arange(cfg.n_paths)
     x = np.ones(cfg.n_paths)
     y = np.zeros(cfg.n_paths)
+    rng_at = _keyed_stream(cfg.seed, _STREAMS["cone"])
     k = 0
     while True:
         y_abs = np.abs(y)
@@ -484,7 +529,7 @@ def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:
             live, x, y, rho = live[keep], x[keep], y[keep], rho[keep]
             if not live.size:
                 break
-        theta = (2 * np.pi) * _step_rng(cfg.seed, _STREAMS["cone"], k).random(live.size)
+        theta = (2 * np.pi) * rng_at(k).random(live.size)
         x = x + rho * np.cos(theta)
         y = y + rho * np.sin(theta)
         k += 1

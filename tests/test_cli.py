@@ -42,6 +42,9 @@ class TestParsing:
         assert t[0] == pytest.approx(1e-5) and t[-1] == pytest.approx(1e-4)
         steps = np.diff(np.log(t))
         assert np.allclose(steps, steps[0])
+        for spec in ("1e-4:1e-5:8", "1e-4:1e-4:8"):
+            with pytest.raises(InvalidParameterError, match="must exceed"):
+                cli.parse_times(spec)
 
     def test_config_file(self, tmp_path):
         cfgf = tmp_path / "run.cfg"
@@ -196,6 +199,21 @@ class TestExitCodes:
         err = self._usage_error(capsys, [experiment, "--grid", "32", "--paths", "100",
                                          "--t", t], tmp_path)
         assert "--t" in err
+
+    @pytest.mark.parametrize("c1", ["0", "-1"])
+    def test_nonpositive_c1(self, capsys, tmp_path, c1):
+        # --c1 -1 used to make the heat-content premise vacuous and report PASS
+        err = self._usage_error(capsys, ["ball-search", "--grid", "32", "--c1", c1],
+                                tmp_path)
+        assert "--c1" in err
+
+    @pytest.mark.parametrize("experiment", ["heat-content", "isoperimetry"])
+    @pytest.mark.parametrize("times", ["1e-3:1e-4:4", "1e-4:1e-4:4"])
+    def test_times_not_increasing(self, capsys, tmp_path, experiment, times):
+        # a descending range used to run the curve and exit 1 with FAIL
+        err = self._usage_error(capsys, [experiment, "--grid", "32", "--steps", "24",
+                                         "--times", times], tmp_path)
+        assert "--times" in err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, capsys, tmp_path, threads):

@@ -455,6 +455,25 @@ class TestInterpolation:
         for a, b, c in zip(plain, table, reference):
             assert np.array_equal(a, b) and np.array_equal(a, c)
         assert not plain[3].all() or (periodic_x and periodic_y)
+        # inside the frame and half a cell below it no periodic index takes the
+        # mod: ghost index 0 must read what the mod would have read
+        frame = np.column_stack([
+            rng.uniform(grid.x0 - grid.h / 2, grid.x0 + grid.extent_x, 4000),
+            rng.uniform(grid.y0 - grid.h / 2, grid.y0 + grid.extent_y, 4000)])
+        frame[:300] = grid.x0 - grid.h / 2 + rng.random((300, 2)) * grid.h
+        for a, c in zip(nh.nodal.interpolate_with_gradient(values, grid, frame),
+                        _reference_interpolant(values, grid, frame)):
+            assert np.array_equal(a, c)
+
+    def test_point_shapes(self):
+        grid = nh.GridSpec(nx=12, ny=8, extent_y=8 / 12, periodic_x=True)
+        values = np.random.default_rng(3).standard_normal((8, 12))
+        pts = np.random.default_rng(4).uniform(-0.5, 1.5, (3, 5, 2))
+        flat = nh.nodal.interpolate_with_gradient(values, grid, pts.reshape(-1, 2))
+        for a, b in zip(nh.nodal.interpolate_with_gradient(values, grid, pts), flat):
+            assert b.shape == (15,) and np.array_equal(a, b.reshape(3, 5))
+        for a, b in zip(nh.nodal.interpolate_with_gradient(values, grid, pts[0, 0]), flat):
+            assert np.shape(a) == () and a == b[0]
 
     def test_rejects_values_off_the_grid(self):
         grid = nh.GridSpec(nx=8, ny=6, extent_y=0.75)

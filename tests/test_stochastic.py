@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import erfc, ndtr
@@ -6,12 +8,18 @@ import nodalheat as nh
 from nodalheat.bounds import _wedge_fk_survival
 from nodalheat.errors import InvalidParameterError, ResolutionWarning, UnknownLabelError
 from nodalheat.heat import solve_hitting_field
+from nodalheat.nodal import _ghost_table
 from nodalheat.stochastic import (
+    _MAX_DIST,
     _STREAMS,
     ConeSpec,
     PathEnsembleConfig,
     _channel_survival,
     _field_table,
+    _keyed_stream,
+    _level_set_distance,
+    _step_rng,
+    _walk_in_domain,
     cone_exit_exact,
     cone_exit_mc,
     escape_interval_mc,
@@ -355,3 +363,108 @@ class TestStreams:
         }
         counts = {name: round(mean * n_paths) for name, mean in means.items()}
         assert counts == self.PINNED[(n_paths, bridge)]
+
+
+    @pytest.mark.parametrize("name", sorted(_STREAMS))
+    @pytest.mark.parametrize("seed", [3, 1 << 63, (1 << 64) - 1])
+    def test_rekeyed_generator_draws_as_fresh(self, name, seed):
+        # one generator re-keyed per counter must draw what a Philox built
+        # for that key draws, including after the buffer and counter moved
+        stream = _STREAMS[name]
+        tag, base, span = stream
+        rng_at = _keyed_stream(seed, stream)
+        for k in (0, span - 1, 0):
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (tag << 56) | (base + k)],
+                           dtype=np.uint64)
+            rng, fresh = rng_at(k), np.random.Generator(np.random.Philox(key=key))
+            for draw in (lambda g: g.standard_normal((7, 2)), lambda g: g.random(5),
+                         lambda g: g.integers(0, 1 << 40, 3)):
+                assert np.array_equal(draw(rng), draw(fresh))
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(_step_rng(seed, stream, k).random(9), fresh.random(9))
+
+    @pytest.mark.parametrize("name", sorted(_STREAMS))
+    def test_counter_outside_span_raises(self, name):
+        stream = _STREAMS[name]
+        rng_at = _keyed_stream(5, stream)
+        for k in (-1, stream[2]):
+            with pytest.raises(ValueError):
+                rng_at(k)
+            with pytest.raises(ValueError):
+                _step_rng(5, stream, k)
+
+
+def _walk_cases():
+    """(ghost table, grid, sign, starts, horizon) of each pinned grid walk."""
+    cases = {}
+    for name, model, n, starts, sign in (
+        ("torus11", nh.make_torus_eigenfunction(1, 1), 128,
+         [(0.75, 0.25), (0.98, 0.02), (0.52, 0.45)], -1),
+        ("rect11", nh.make_rectangle_eigenfunction(1, 1, 1.0, 1.0), 64,
+         [(0.5, 0.5), (0.03, 0.6), (0.9, 0.97)], 1),
+        ("torus23", nh.make_torus_eigenfunction(2, 3), 128,
+         [(0.125, 1 / 12), (0.01, 0.16), (0.24, 0.005)], 1),
+    ):
+        grid = nh.grid_for_model(model, n)
+        mask = nh.label_nodal_domains(nh.sample_field(model, grid))
+        t = 0.004 if name == "torus23" else 0.02
+        cases[name] = (_field_table(mask), grid, sign, starts, t)
+    # an x-periodic strip whose domain crosses the seam and meets the y walls
+    grid = nh.GridSpec(nx=64, ny=64, periodic_x=True)
+    xc = (np.arange(64) + 0.5) / 64
+    xx, yy = np.meshgrid(xc, xc)
+    vals = np.sin(2 * np.pi * yy) + 0.3 * np.cos(2 * np.pi * xx)
+    cases["strip"] = (_ghost_table(vals, grid), grid, 1,
+                      [(0.5, 0.25), (0.99, 0.2), (0.02, 0.05)], 0.02)
+    return cases
+
+
+class TestWalkBytes:
+    """sha256 of the float.hex of _walk_in_domain's (absorbed, end), recorded
+    with one Philox built per step, np.hypot gradient norms and a mod on every
+    periodic cell index; a faster walk must reproduce them bit for bit."""
+
+    PINNED = {
+        ("torus11", 1000, True): "0a463ed88d6bd8dd",
+        ("torus11", 1000, False): "0c3ae00d3c6f3942",
+        ("torus11", 4000, True): "a719dde91b6b5541",
+        ("torus11", 4000, False): "b2ba09caa652dcda",
+        ("rect11", 1000, True): "3458978e62575018",
+        ("rect11", 1000, False): "20eb33755b7974c8",
+        ("rect11", 4000, True): "7880f6a8ee0ef676",
+        ("rect11", 4000, False): "10eb1f9c59cedbcf",
+        ("torus23", 1000, True): "e62bd3f4a5c5c9ca",
+        ("torus23", 1000, False): "65556c6277919f7b",
+        ("torus23", 4000, True): "53c80c3d73c74302",
+        ("torus23", 4000, False): "67221185ea0d817a",
+        ("strip", 1000, True): "09b18d5b2a675292",
+        ("strip", 1000, False): "e7ba3242cbb84121",
+        ("strip", 4000, True): "95f117fea8ecb814",
+        ("strip", 4000, False): "d3ae9ff739d2c3f8",
+    }
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _walk_cases()
+
+    @pytest.mark.parametrize("name,n_paths,bridge", sorted(PINNED))
+    def test_walk_pinned(self, cases, name, n_paths, bridge):
+        table, grid, sign, starts, t = cases[name]
+        cfg = PathEnsembleConfig(n_paths=n_paths, dt=t / 100, seed=11,
+                                 bridge_correction=bridge)
+        reps = -(-n_paths // len(starts))
+        absorbed, end = _walk_in_domain(table, grid, sign,
+                                        np.repeat(np.array(starts), reps, axis=0)[:n_paths],
+                                        t, cfg)
+        h = hashlib.sha256()
+        for a, (x, y) in zip(absorbed.tolist(), end.tolist()):
+            h.update(f"{int(a)} {x.hex()} {y.hex()}\n".encode())
+        assert h.hexdigest()[:16] == self.PINNED[(name, n_paths, bridge)]
+
+    def test_level_set_distance_degenerate(self):
+        f = np.array([1.0, 0.0, -2.0, 0.0, 3.0])
+        gx = np.array([0.0, 0.0, 0.0, 1.0, 3.0])
+        gy = np.array([0.0, 0.0, -0.0, 2.0, 4.0])
+        d = _level_set_distance(f, gx, gy)
+        # a zero gradient caps at _MAX_DIST; f = 0 is on the zero set
+        assert d.tolist() == [_MAX_DIST, 0.0, _MAX_DIST, 0.0, 0.6]
