@@ -379,6 +379,11 @@ def _block_cases():
     # the cylinder strip: every x run is a full periodic row
     add("cylinder", nh.GridSpec(nx=n, ny=n, periodic_x=True),
         lambda x, y: (y > 0.25) & (y < 0.75))
+    # one cell, and a one-cell-wide column (one-cell x runs, one y run); at
+    # 8^2, where a one-cell inradius^2 still covers t = 1e-3
+    coarse = nh.GridSpec(nx=8, ny=8)
+    add("cell", coarse, lambda x, y: (np.abs(x - 0.5625) < 0.0625) & (np.abs(y - 0.5625) < 0.0625))
+    add("column", coarse, lambda x, y: np.abs(x - 0.5625) < 0.0625)
     return cases
 
 
@@ -387,8 +392,8 @@ class TestBlockPlan:
     array, the rest through fancy-index gathers; both must give the bytes
     the gather-only solver gave.  The digests hash the float.hex strings of
     heat_content_curve contents (t in [1e-4, 1e-3], n_steps 32) and of
-    solve_hitting_field values (t = 1e-3, n_steps 24) at 96^2, recorded
-    with the gather-only solver."""
+    solve_hitting_field values (t = 1e-3, n_steps 24) at 96^2 (the cell and
+    the column at 8^2), recorded with the gather-only solver."""
 
     PINNED = {
         "ell": ("4bfe3b6df22c311d", "7c9856d902731bf9"),
@@ -398,6 +403,8 @@ class TestBlockPlan:
         "seam": ("768b8ccec927c82b", "51554d801363d130"),
         "channel": ("38ac213c99a6b075", "d08122ed8c44e474"),
         "cylinder": ("f12931a9ad6cf4e0", "5c8f01cabd9661c9"),
+        "cell": ("90009af0fbda2edd", "1e8b73d156a9a7ab"),
+        "column": ("65a3505d46d03fb5", "97b5dea23b23ac3f"),
     }
 
     @pytest.fixture(scope="class")
