@@ -24,9 +24,9 @@ from .nodal import (
     DomainMask,
     GridSpec,
     ScalarField,
+    _nodal_length,
     boundary_length,
     distance_to_boundary_map,
-    extract_nodal_set,
     grid_for_model,
     indicator_field,
     label_nodal_domains,
@@ -298,8 +298,7 @@ def theorem1_certificate(model: EigenfunctionModel, grid: GridSpec,
         t = 1.0 / lam
     field = sample_field(model, grid)
     mask = label_nodal_domains(field)
-    nodal = extract_nodal_set(field)
-    z_len = nodal.total_length
+    z_len = _nodal_length(field)
 
     rows = []
     sum_l1_grad = 0.0

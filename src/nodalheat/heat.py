@@ -12,12 +12,13 @@ the cell centers.  Each domain shape has one solver:
 - Every other mask is stepped with Crank-Nicolson realized as a
   Peaceman-Rachford directional split, the first two steps done as split
   implicit-Euler half-steps to damp the discontinuous start data.  Each
-  directional solve is a direct SPD tridiagonal solve (LAPACK pttrs),
-  factored once per run length and step size, so the cost per step is
-  O(cells) with no iteration tolerances anywhere.  Tall stacks of lines
-  holding the same run are solved as blocks on slices of the working
-  array; the remaining runs are batched per run length through fancy-index
-  gathers.
+  axis keeps the domain's cells as one vector of runs, full periodic lines
+  first; each directional solve is one direct SPD tridiagonal solve (LAPACK
+  pttrs) over that vector, factored once per step size with zero
+  couplings between runs, so the cost per step is O(cells) with no
+  iteration tolerances anywhere.  The cells are gathered once per
+  evolution and permuted between the x and y orders at each change of
+  axis.
 
 Dirichlet data is anchored at cell faces via ghost extrapolation
 (ghost = 2 g - u), so the absorbing wall sits exactly on the boundary of the
@@ -77,24 +78,6 @@ class HeatContentCurve:
 # directional run plan
 # ---------------------------------------------------------------------------
 
-def _runs_1d(row: np.ndarray, periodic: bool):
-    """Maximal True runs of a boolean row as (start, length, cyclic)."""
-    n = row.size
-    if not row.any():
-        return []
-    if row.all():
-        return [(0, n, periodic)]
-    if periodic and row[0] and row[-1]:
-        shift = int(np.argmin(row))     # first False
-        rolled = np.roll(row, -shift)
-        return [((s + shift) % n, ln, False) for s, ln, _ in _runs_1d(rolled, False)]
-    padded = np.concatenate(([False], row, [False])).astype(np.int8)
-    d = np.diff(padded)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return [(int(s), int(e - s), False) for s, e in zip(starts, ends)]
-
-
 def _dirichlet_decay(n: int, h: float, duration: float) -> np.ndarray:
     """exp(-duration lambda_k) for the DST-II modes k = 1..n of one axis.
 
@@ -105,121 +88,173 @@ def _dirichlet_decay(n: int, h: float, duration: float) -> np.ndarray:
     return np.exp(-duration * (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2)
 
 
-def _pt_factor(ln: int, theta: float, cyclic: bool):
-    """LDL^T factors of the SPD tridiagonal (I - theta L) on one run of ln cells.
+def _pt_factor(d: np.ndarray, e: np.ndarray):
+    """LDL^T factors of the SPD tridiagonal with diagonal d and off-diagonal e.
 
-    Dirichlet runs have the face-anchored 1 + 3 theta end rows; cyclic runs
-    get the Sherman-Morrison corrected corners used by _solve_cyclic.
+    A one-cell system is its own factor (f2py's dpttrf rejects an empty e).
     """
-    diag = 1 + 2 * theta
-    d = np.full(ln, diag)
-    if cyclic:
-        d[0] = 2 * diag                        # diag - gamma, gamma = -diag
-        d[-1] = diag + theta * theta / diag    # diag - off^2 / gamma
-    else:
-        d[0] = d[-1] = 1 + 3 * theta
-    d, e, info = dpttrf(d, np.full(ln - 1, -theta))
+    if d.size == 1:
+        return d, e
+    d, e, info = dpttrf(d, e)
     if info != 0:   # pragma: no cover - the matrix is diagonally dominant
-        raise SolverError(f"tridiagonal factorization failed for run length {ln}: info {info}")
+        raise SolverError(f"tridiagonal factorization failed for {d.size} cells: info {info}")
     return d, e
 
 
-def _pt_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored system for every row of rhs (consumed).
+def _cyclic_factor(n: int, theta: float):
+    """Factors of (I - theta L) on a ring of n > 2 cells, with the
+    Sherman-Morrison corrected corners used by _solve_cyclic."""
+    diag = 1 + 2 * theta
+    d = np.full(n, diag)
+    d[0] = 2 * diag                        # diag - gamma, gamma = -diag
+    d[-1] = diag + theta * theta / diag    # diag - off^2 / gamma
+    return _pt_factor(d, np.full(n - 1, -theta))
 
-    When rhs.T is Fortran-contiguous (rhs holds whole rows of a C array)
-    the solve runs in place and the result is a view of rhs's memory;
-    otherwise dpttrs solves a Fortran copy and the result is new.
+
+def _pt_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored system for rhs (consumed): one vector, or every row.
+
+    When rhs.T is Fortran-contiguous (a contiguous vector, or whole rows of
+    a C array) the solve runs in place and the result is a view of rhs's
+    memory; otherwise dpttrs solves a Fortran copy and the result is new.
     """
     d, e = factor
+    if d.size == 1:
+        rhs /= d
+        return rhs
     sol, info = dpttrs(d, e, rhs.T, overwrite_b=True)
     if info != 0:   # pragma: no cover
         raise SolverError(f"tridiagonal solve failed: info {info}")
     return sol.T
 
 
-def _explicit_rows(rows: np.ndarray, theta: float, g: float, cyclic: bool):
-    """(I + theta L) along every row of rows (one run per row), in place."""
-    if cyclic:
-        lap = np.roll(rows, 1, axis=1)
-        lap += np.roll(rows, -1, axis=1)
-        lap -= 2 * rows
-        lap *= theta
-        rows += lap
-        return
-    if rows.shape[1] == 1:
-        rows *= 1 - 4 * theta
-        rows += 4 * theta * g
-        return
-    mid = rows[:, 1:-1]
-    lap = np.multiply(mid, 2)
-    np.subtract(rows[:, 2:], lap, out=lap)
-    lap += rows[:, :-2]
+def _explicit_cyclic(rows: np.ndarray, theta: float, out: np.ndarray):
+    """(I + theta L) along every row of rows (one ring per row), into out."""
+    lap = np.roll(rows, 1, axis=1)
+    lap += np.roll(rows, -1, axis=1)
+    lap -= 2 * rows
     lap *= theta
-    first = rows[:, 0] + theta * (rows[:, 1] - 3 * rows[:, 0] + 2 * g)
-    last = rows[:, -1] + theta * (rows[:, -2] - 3 * rows[:, -1] + 2 * g)
-    mid += lap
-    rows[:, 0] = first
-    rows[:, -1] = last
+    np.add(rows, lap, out=out)
 
 
-# A stack of at least this many consecutive lines holding the same run is a
-# block, solved on a slice of the working array; shorter stacks stay in the
-# gather groups, where one fancy index serves every run of a length.
-# Measured on one ADI step at 384^2 (2 vCPU, numpy 2.4.6): with every run a
-# block (a minimum of 1, 175 blocks per axis) the disk, whose chords change
-# every few rows, went from 137 to 194 ns per cell-step; at 32 it has no
-# block and holds 127-129 ns, while the ell, slit and comb are all blocks
-# and drop from 53-70 to 30-33 ns (the comb stays all blocks up to 32, not
-# at 64).
-_BLOCK_MIN_LINES = 32
+class _RunVector:
+    """The in-domain cells of one axis as one vector of runs.
+
+    lines holds the rows (x) or columns (y) of the mask, n cells each.  The
+    k full lines of a periodic axis come first, as k rings of n cells; then
+    every other maximal run of consecutive in-domain cells, coupled to
+    nothing outside itself.  A line of a periodic axis is read from its
+    first out-of-domain cell, so a run across the seam stays one run.
+    index is the flat index into the grid of each cell in this order;
+    first, last and single are the positions, in the tail after the k * n
+    ring cells, of each longer run's end cells and of the one-cell runs.
+    """
+
+    def __init__(self, lines: np.ndarray, periodic: bool, line_stride: int, cell_stride: int):
+        m, n = lines.shape
+        ring = lines.all(axis=1) if periodic else np.zeros(m, dtype=bool)
+        shift = np.argmin(lines, axis=1) if periodic else np.zeros(m, dtype=np.intp)
+        cells = (shift[:, None] + np.arange(n)) % n
+        li, j = np.nonzero(np.take_along_axis(lines, cells, axis=1) & ~ring[:, None])
+        rings = np.flatnonzero(ring)
+        self.k, self.n = rings.size, n
+        self.index = np.concatenate([
+            np.repeat(rings, n) * line_stride + np.tile(np.arange(n), rings.size) * cell_stride,
+            li * line_stride + cells[li, j] * cell_stride])
+        # a run starts at a new line or after a skipped cell
+        new = np.ones(li.size + 1, dtype=bool)
+        new[1:-1] = (li[1:] != li[:-1]) | (j[1:] != j[:-1] + 1)
+        start, end = new[:-1], new[1:]
+        self.first = np.flatnonzero(start & ~end)
+        self.last = np.flatnonzero(end & ~start)
+        self.single = np.flatnonzero(start & end)
+
+    def factor(self, theta: float):
+        """(ring factor, tail factor) of (I - theta L) at one step size.
+
+        The tail is factored whole: a zero coupling leaves the next pivot
+        exact (d - 0 * 0), so every run gets its own factors bit for bit.
+        Rings of one or two cells, and an empty tail, take None.
+        """
+        ring = _cyclic_factor(self.n, theta) if self.k and self.n > 2 else None
+        m = self.index.size - self.k * self.n
+        if not m:
+            return ring, None
+        d = np.full(m, 1 + 2 * theta)
+        d[self.first] = d[self.last] = 1 + 3 * theta      # face-anchored ends
+        d[self.single] = 1 + 4 * theta
+        e = np.full(m, -theta)
+        e[self.last] = e[self.single] = 0.0                # no coupling past a run
+        return ring, _pt_factor(d, e[:-1])
+
+    # -- explicit (I + theta L) with face-anchored Dirichlet value g ---------
+
+    def explicit(self, w: np.ndarray, theta: float, g: float, out: np.ndarray):
+        """Apply to w, writing out.  The operation order is part of the
+        result's bytes: w + theta ((w[i+1] - 2 w[i]) + w[i-1]) inside a
+        run, w + theta ((w[i+-1] - 3 w) + 2 g) at its end cells and
+        w (1 - 4 theta) + 4 theta g on a one-cell run."""
+        kn = self.k * self.n
+        if self.k:
+            _explicit_cyclic(w[:kn].reshape(self.k, self.n), theta,
+                             out[:kn].reshape(self.k, self.n))
+        v, o = w[kn:], out[kn:]
+        # every cell as an interior one, then the run ends overwritten
+        lap = np.multiply(v[1:-1], 2, out=o[1:-1])
+        np.subtract(v[2:], lap, out=lap)
+        lap += v[:-2]
+        lap *= theta
+        lap += v[1:-1]
+        f, l, s = self.first, self.last, self.single
+        o[f] = v[f] + theta * (v[f + 1] - 3 * v[f] + 2 * g)
+        o[l] = v[l] + theta * (v[l - 1] - 3 * v[l] + 2 * g)
+        o[s] = v[s] * (1 - 4 * theta) + 4 * theta * g
+
+    # -- implicit (I - theta L) x = w, solved in place ------------------------
+
+    def solve(self, w: np.ndarray, theta: float, g: float, factor):
+        """Solve with the ends' Dirichlet data g; factor is factor(theta)."""
+        ring, tail = factor
+        kn = self.k * self.n
+        if self.k:
+            rows = w[:kn].reshape(self.k, self.n)
+            rows[...] = _solve_cyclic(rows, theta, ring)
+        v = w[kn:]
+        if v.size:
+            v[self.first] += 2 * theta * g
+            v[self.last] += 2 * theta * g
+            v[self.single] += 4 * theta * g
+            _pt_solve(tail, v)
 
 
 class _AdiPlan:
     """Solver plan for one domain.
 
     A solid axis-aligned rectangle of cells is served by the exact DST
-    propagator on its bounding slice.  Any other mask is cut, per axis,
-    into runs of consecutive in-domain cells along each line (row for x,
-    column for y).  A stack of at least _BLOCK_MIN_LINES consecutive lines
-    holding an identical run (same start, length and cyclic flag, not
-    crossing a periodic seam) is a block (l0, l1, start, length, cyclic),
-    reached through the basic slice u2[l0:l1, s:s+ln] (x) or
-    u2[s:s+ln, l0:l1] (y).  The remaining runs are gathered and scattered
-    by fancy index in groups keyed by (length, cyclic).  Every run sees
-    the same arithmetic on either path; the tridiagonal factors of the
-    current step size are cached per run length.  All operators mutate the
-    working array in place; cells outside the domain are never touched
-    and keep the boundary value.
+    propagator on its bounding slice.  Any other mask is held, per axis,
+    as one _RunVector of its in-domain cells (rows for x, columns for y);
+    x_to_y and y_to_x are the permutations between the two orders
+    (w_y = w_x[x_to_y]).  _evolve gathers the cells once, steps on the
+    vectors and scatters them back once, so cells outside the domain are
+    never touched and keep the boundary value.
     """
 
     def __init__(self, inmask: np.ndarray, grid: GridSpec):
         self.grid = grid
         self.inmask = inmask
         self.rect = self._detect_rectangle(inmask, grid)
-        self.blocks = {"x": [], "y": []}
-        self.groups = {"x": {}, "y": {}}
-        self._factors = {}
         if self.rect is not None:
             return
         nx = inmask.shape[1]
-        for axis, lines, periodic in (("x", inmask, grid.periodic_x),
-                                      ("y", inmask.T, grid.periodic_y)):
-            n = lines.shape[1]
-            runs = [_runs_1d(line, periodic) for line in lines]
-            for l0, l1, run in list(_stacks(runs)):
-                s, ln, _ = run
-                if l1 - l0 >= _BLOCK_MIN_LINES and s + ln <= n:
-                    self.blocks[axis].append((l0, l1, *run))
-                    for i in range(l0, l1):
-                        runs[i].remove(run)
-            groups = self.groups[axis]
-            for i, line_runs in enumerate(runs):
-                for s, ln, cyc in line_runs:
-                    cells = (s + np.arange(ln)) % n
-                    idx = i * nx + cells if axis == "x" else cells * nx + i
-                    groups.setdefault((ln, cyc), []).append(idx)
-            self.groups[axis] = {key: np.stack(rows) for key, rows in groups.items()}
+        self.runs = {"x": _RunVector(inmask, grid.periodic_x, nx, 1),
+                     "y": _RunVector(inmask.T, grid.periodic_y, 1, nx)}
+        order = np.arange(self.runs["x"].index.size)
+        pos = np.empty(inmask.size, dtype=np.intp)
+        pos[self.runs["x"].index] = order
+        self.x_to_y = pos[self.runs["y"].index]
+        self.y_to_x = np.empty_like(self.x_to_y)
+        self.y_to_x[self.x_to_y] = order
+        self._theta = None
 
     @staticmethod
     def _detect_rectangle(inmask: np.ndarray, grid: GridSpec):
@@ -249,83 +284,20 @@ class _AdiPlan:
         blk[:] = idstn(coef, type=2, norm="ortho", overwrite_x=True)
         blk += g
 
-    # -- tridiagonal factors, one step size at a time -------------------------
-
-    def _factor(self, ln: int, theta: float, cyclic: bool):
-        per = self._factors.get(theta)
-        if per is None:
-            # keep only the current step size: each leg of a curve has its own
-            per = {}
-            self._factors = {theta: per}
-        key = (ln, cyclic)
-        if key not in per:
-            per[key] = _pt_factor(ln, theta, cyclic)
-        return per[key]
-
-    @staticmethod
-    def _block_rows(u2: np.ndarray, block, axis: str) -> np.ndarray:
-        """The runs of one block as a (lines, length) view of u2."""
-        l0, l1, s, ln, _ = block
-        return u2[l0:l1, s:s + ln] if axis == "x" else u2[s:s + ln, l0:l1].T
-
-    # -- explicit (I + theta L) with face-anchored Dirichlet value g ---------
-
-    def apply_explicit(self, u2: np.ndarray, theta: float, g: float, axis: str):
-        for block in self.blocks[axis]:
-            _explicit_rows(self._block_rows(u2, block, axis), theta, g, block[4])
-        u = u2.reshape(-1)
-        for (_, cyc), idx in self.groups[axis].items():
-            rows = u[idx]
-            _explicit_rows(rows, theta, g, cyc)
-            u[idx] = rows
-
-    # -- implicit (I - theta L) x = b, solved in place ------------------------
-
-    def _solve_rows(self, rows: np.ndarray, theta: float, g: float, cyclic: bool):
-        """Solve on every row of rows (consumed); the result may be rows,
-        solved in place."""
-        ln = rows.shape[1]
-        if cyclic:
-            return _solve_cyclic(rows, theta, self._factor(ln, theta, True) if ln > 2 else None)
-        if ln == 1:
-            return (rows + 4 * theta * g) / (1 + 4 * theta)
-        rows[:, 0] += 2 * theta * g
-        rows[:, -1] += 2 * theta * g
-        return _pt_solve(self._factor(ln, theta, False), rows)
-
-    def solve_implicit(self, u2: np.ndarray, theta: float, g: float, axis: str):
-        for block in self.blocks[axis]:
-            rows = self._block_rows(u2, block, axis)
-            sol = self._solve_rows(rows, theta, g, block[4])
-            if not np.may_share_memory(sol, rows):    # in place when Fortran-ready
-                rows[...] = sol
-        u = u2.reshape(-1)
-        for (_, cyc), idx in self.groups[axis].items():
-            u[idx] = self._solve_rows(u[idx], theta, g, cyc)
-
-
-def _stacks(runs):
-    """Maximal stacks of consecutive lines holding an identical run.
-
-    runs[i] is the run list of line i; yields (l0, l1, run) with run in
-    every line l0 <= i < l1.
-    """
-    open_ = {}
-    for i, line_runs in enumerate(runs):
-        here = set(line_runs)
-        for run in [r for r in open_ if r not in here]:
-            yield open_.pop(run), i, run
-        for run in line_runs:
-            open_.setdefault(run, i)
-    for run, l0 in open_.items():
-        yield l0, len(runs), run
+    def factors(self, theta: float):
+        """Each axis's factors at theta; only the current step size is kept,
+        since each leg of a curve has its own."""
+        if theta != self._theta:
+            self._theta = theta
+            self._factors = {axis: runs.factor(theta) for axis, runs in self.runs.items()}
+        return self._factors
 
 
 def _solve_cyclic(rhs: np.ndarray, theta: float, factor):
     """Batched cyclic tridiagonal solve via Sherman-Morrison.
 
-    factor is _pt_factor(n, theta, cyclic=True); rings of one or two cells
-    are solved directly and take None.
+    factor is _cyclic_factor(n, theta); rings of one or two cells are
+    solved directly and take None.
     """
     n = rhs.shape[1]
     if n == 1:
@@ -357,7 +329,9 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
     """Advance the masked heat equation by duration, mutating u2 in place.
 
     Rectangles take the exact propagator; n_steps and startup only shape
-    the ADI stepping of other masks.
+    the ADI stepping of other masks, which runs on the plan's run vectors:
+    one gather, one permutation into ping-pong buffers at each change of
+    axis, one scatter.
     """
     if duration == 0 or n_steps == 0:
         return
@@ -368,16 +342,27 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
     h = plan.grid.h
     n_startup = min(2, n_steps) if startup else 0
     theta_be = (dt / 2) / h ** 2
-    for _ in range(n_startup):
-        for _ in range(2):      # two implicit-Euler half-steps per step
-            plan.solve_implicit(u2, theta_be, g, "x")
-            plan.solve_implicit(u2, theta_be, g, "y")
     theta = dt / (2 * h ** 2)
-    for _ in range(n_steps - n_startup):
-        plan.apply_explicit(u2, theta, g, "y")
-        plan.solve_implicit(u2, theta, g, "x")
-        plan.apply_explicit(u2, theta, g, "x")
-        plan.solve_implicit(u2, theta, g, "y")
+    # (axis, explicit, theta) per half-step: two implicit-Euler half-steps
+    # per startup step, then the Peaceman-Rachford steps
+    half_steps = ([("x", False, theta_be), ("y", False, theta_be)] * (2 * n_startup)
+                  + [("y", True, theta), ("x", False, theta),
+                     ("x", True, theta), ("y", False, theta)] * (n_steps - n_startup))
+    u = u2.reshape(-1)
+    axis = half_steps[0][0]
+    w = u[plan.runs[axis].index]
+    spare = np.empty_like(w)
+    to = {"x": plan.y_to_x, "y": plan.x_to_y}
+    for ax, explicit, th in half_steps:
+        if ax != axis:
+            np.take(w, to[ax], out=spare, mode="clip")     # "raise" buffers a copy
+            w, spare, axis = spare, w, ax
+        if explicit:
+            plan.runs[ax].explicit(w, th, g, spare)
+            w, spare = spare, w
+        else:
+            plan.runs[ax].solve(w, th, g, plan.factors(th)[ax])
+    u[plan.runs[axis].index] = w
 
 
 def _get_plan(mask: DomainMask, label: int) -> _AdiPlan:

@@ -481,6 +481,18 @@ def extract_nodal_set(field: ScalarField) -> NodalSet:
     return NodalSet(polylines=polylines, total_length=float(total), perturbed_zeros=n_pert)
 
 
+def _nodal_length(field: ScalarField) -> float:
+    """extract_nodal_set(field).total_length, without stitching polylines
+    where it can: on a fully periodic grid stitching adds no wall extension,
+    so the chained segment lengths are the whole total."""
+    grid = field.grid
+    if not (grid.periodic_x and grid.periodic_y):
+        return extract_nodal_set(field).total_length
+    values, _ = _perturb_zeros(field.values)
+    pa, pb, *_ = _contour_segments(values, True, True)
+    return float(_chained_length(pa, pb) * grid.h)
+
+
 # ---------------------------------------------------------------------------
 # nodal domains
 # ---------------------------------------------------------------------------

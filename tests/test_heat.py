@@ -8,7 +8,6 @@ import nodalheat as nh
 import nodalheat.bounds  # binds nh.bounds; the package does not import it
 from nodalheat.errors import InvalidParameterError
 from nodalheat.heat import (
-    _BLOCK_MIN_LINES,
     _get_plan,
     dirichlet_semigroup_field,
     heat_content,
@@ -418,21 +417,47 @@ class TestBlockPlan:
         field = solve_hitting_field(mask, label, 1e-3, n_steps=24)
         assert (_digest(curve.contents), _digest(field.values)) == self.PINNED[name]
 
-    def test_plans_take_the_block_path(self, cases):
+    def test_run_vectors(self, cases):
         plans = {name: _get_plan(*cases[name]) for name in cases}
-        # every ell run is on a block: a silent fallback to gathers fails here
-        ell = plans["ell"]
-        assert ell.groups == {"x": {}, "y": {}}
-        assert len(ell.blocks["x"]) == 2 and len(ell.blocks["y"]) == 2
-        # the channel has an x block of one-cell runs, taller than the minimum
-        assert any(ln == 1 and l1 - l0 >= _BLOCK_MIN_LINES
-                   for l0, l1, _, ln, _ in plans["channel"].blocks["x"])
-        # the cylinder's full periodic rows are cyclic blocks
-        cyl = plans["cylinder"]
-        assert cyl.groups["x"] == {} and cyl.blocks["x"]
-        assert all(cyclic for *_, cyclic in cyl.blocks["x"])
-        # runs across a periodic seam cannot be sliced and stay gathered
+        for plan in plans.values():
+            # each axis orders exactly the in-domain cells, and x_to_y and
+            # y_to_x are inverse permutations: no other cell is touched
+            cells = np.flatnonzero(plan.inmask)
+            order = np.arange(cells.size)
+            for runs in plan.runs.values():
+                assert np.array_equal(np.sort(runs.index), cells)
+            assert np.array_equal(plan.runs["x"].index[plan.x_to_y], plan.runs["y"].index)
+            assert np.array_equal(plan.x_to_y[plan.y_to_x], order)
+            assert np.array_equal(plan.y_to_x[plan.x_to_y], order)
+            # every run steps one cell along one line, modulo the period
+            nx, ny = plan.grid.nx, plan.grid.ny
+            for axis, period in (("x", nx), ("y", ny)):
+                for run in _runs(plan.runs[axis]):
+                    line, cell = np.divmod(run, nx) if axis == "x" else np.divmod(run, nx)[::-1]
+                    assert np.all(line == line[0])
+                    assert np.all(np.diff(cell) % period == 1)
+        # the cylinder's x rows are its full periodic lines, solved as rings
+        cyl = plans["cylinder"].runs["x"]
+        assert cyl.k == np.count_nonzero(plans["cylinder"].inmask.all(axis=1)) > 0
+        assert cyl.index.size == cyl.k * cyl.n == cyl.k * plans["cylinder"].grid.nx
+        # runs across a periodic seam wrap, on both axes
         seam = plans["seam"]
-        nx = seam.grid.nx
-        assert all(s + ln <= nx for _, _, s, ln, _ in seam.blocks["x"] + seam.blocks["y"])
-        assert seam.groups["x"] and seam.groups["y"]
+        for axis, cell in (("x", lambda r: r % 96), ("y", lambda r: r // 96)):
+            assert any(np.any(np.diff(cell(r)) < 0) for r in _runs(seam.runs[axis]))
+        # the channel's x runs include one-cell runs; the column's x runs are
+        # all one cell and its y axis is a single run
+        assert plans["channel"].runs["x"].single.size >= 57
+        col = plans["column"].runs
+        assert col["x"].single.size == 8 and col["x"].first.size == 0
+        assert col["y"].first.size == col["y"].last.size == 1 and col["y"].single.size == 0
+        cell = plans["cell"].runs
+        assert all(r.single.size == r.index.size == 1 for r in cell.values())
+
+
+def _runs(runs):
+    """The flat cell indices of each run after a run vector's rings."""
+    tail = runs.index[runs.k * runs.n:]
+    if not tail.size:
+        return []
+    ends = np.sort(np.concatenate([runs.last, runs.single]))
+    return np.split(tail, ends[:-1] + 1)

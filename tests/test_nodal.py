@@ -319,6 +319,32 @@ class TestContourPinning:
         assert len(nh.extract_nodal_set(field).polylines) == n_chains
 
 
+class TestNodalLength:
+    """_nodal_length is extract_nodal_set's total_length bit for bit, and
+    stitches no polylines on a fully periodic grid."""
+
+    @pytest.mark.parametrize("seed, periodic", [
+        (20260808, (False, False)), (20260809, (True, False)),
+        (20260810, (False, True)), (20260811, (True, True))])
+    def test_matches_extracted_total(self, seed, periodic):
+        field = _random_field(seed, *periodic)
+        assert nh.nodal._nodal_length(field).hex() == nh.extract_nodal_set(field).total_length.hex()
+
+    def test_torus_stitches_nothing(self, monkeypatch):
+        model = nh.make_torus_eigenfunction(2, 3)
+        field = nh.sample_field(model, nh.grid_for_model(model, 64))
+        zero = nh.ScalarField(grid=field.grid, values=np.zeros_like(field.values))
+        expected = [nh.extract_nodal_set(f).total_length for f in (field, zero)]
+
+        def refuse(*args):
+            raise AssertionError("polylines stitched")
+
+        monkeypatch.setattr(nh.nodal, "_stitch_polylines", refuse)
+        assert [nh.nodal._nodal_length(f) for f in (field, zero)] == expected
+        rep = theorem1_certificate(model, field.grid, n_steps=24)
+        assert rep.constants["nodal_length"] == expected[0]
+
+
 @pytest.fixture
 def contour_calls(monkeypatch):
     """Counts the calls of the marching-squares pass, by whoever makes them."""
