@@ -137,6 +137,37 @@ def _explicit_cyclic(rows: np.ndarray, theta: float, out: np.ndarray):
     np.add(rows, lap, out=out)
 
 
+def _solve_cyclic(rhs: np.ndarray, theta: float, factor):
+    """Batched cyclic tridiagonal solve via Sherman-Morrison.
+
+    factor is _cyclic_factor(n, theta); rings of one or two cells are
+    solved directly and take None.
+    """
+    n = rhs.shape[1]
+    if n == 1:
+        return rhs.copy()
+    if n == 2:
+        # ring of two cells: both off-diagonal couplings add up
+        a = 1 + 2 * theta
+        b = -2 * theta
+        det = a * a - b * b
+        x0 = (a * rhs[:, 0] - b * rhs[:, 1]) / det
+        x1 = (a * rhs[:, 1] - b * rhs[:, 0]) / det
+        return np.stack([x0, x1], axis=1)
+    diag = 1 + 2 * theta
+    off = -theta
+    gamma = -diag
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = off
+    sol = _pt_solve(factor, np.concatenate([rhs, u[None, :]], axis=0))
+    y = sol[:-1]
+    z = sol[-1]
+    vy = y[:, 0] + (off / gamma) * y[:, -1]
+    vz = z[0] + (off / gamma) * z[-1]
+    return y - np.outer(vy / (1 + vz), z)
+
+
 class _RunVector:
     """The in-domain cells of one axis as one vector of runs.
 
@@ -254,7 +285,6 @@ class _AdiPlan:
         self.x_to_y = pos[self.runs["y"].index]
         self.y_to_x = np.empty_like(self.x_to_y)
         self.y_to_x[self.x_to_y] = order
-        self._theta = None
 
     @staticmethod
     def _detect_rectangle(inmask: np.ndarray, grid: GridSpec):
@@ -283,45 +313,6 @@ class _AdiPlan:
         coef *= _dirichlet_decay(x1 - x0, h, duration)
         blk[:] = idstn(coef, type=2, norm="ortho", overwrite_x=True)
         blk += g
-
-    def factors(self, theta: float):
-        """Each axis's factors at theta; only the current step size is kept,
-        since each leg of a curve has its own."""
-        if theta != self._theta:
-            self._theta = theta
-            self._factors = {axis: runs.factor(theta) for axis, runs in self.runs.items()}
-        return self._factors
-
-
-def _solve_cyclic(rhs: np.ndarray, theta: float, factor):
-    """Batched cyclic tridiagonal solve via Sherman-Morrison.
-
-    factor is _cyclic_factor(n, theta); rings of one or two cells are
-    solved directly and take None.
-    """
-    n = rhs.shape[1]
-    if n == 1:
-        return rhs.copy()
-    if n == 2:
-        # ring of two cells: both off-diagonal couplings add up
-        a = 1 + 2 * theta
-        b = -2 * theta
-        det = a * a - b * b
-        x0 = (a * rhs[:, 0] - b * rhs[:, 1]) / det
-        x1 = (a * rhs[:, 1] - b * rhs[:, 0]) / det
-        return np.stack([x0, x1], axis=1)
-    diag = 1 + 2 * theta
-    off = -theta
-    gamma = -diag
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = off
-    sol = _pt_solve(factor, np.concatenate([rhs, u[None, :]], axis=0))
-    y = sol[:-1]
-    z = sol[-1]
-    vy = y[:, 0] + (off / gamma) * y[:, -1]
-    vz = z[0] + (off / gamma) * z[-1]
-    return y - np.outer(vy / (1 + vz), z)
 
 
 def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
@@ -353,6 +344,7 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
     w = u[plan.runs[axis].index]
     spare = np.empty_like(w)
     to = {"x": plan.y_to_x, "y": plan.x_to_y}
+    factors = {}
     for ax, explicit, th in half_steps:
         if ax != axis:
             np.take(w, to[ax], out=spare, mode="clip")     # "raise" buffers a copy
@@ -361,7 +353,9 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
             plan.runs[ax].explicit(w, th, g, spare)
             w, spare = spare, w
         else:
-            plan.runs[ax].solve(w, th, g, plan.factors(th)[ax])
+            if th not in factors:
+                factors[th] = {a: runs.factor(th) for a, runs in plan.runs.items()}
+            plan.runs[ax].solve(w, th, g, factors[th][ax])
     u[plan.runs[axis].index] = w
 
 
