@@ -115,8 +115,8 @@ def _pt_solve(factor, rhs: np.ndarray) -> np.ndarray:
     """Solve the factored system for rhs (consumed): one vector, or every row.
 
     When rhs.T is Fortran-contiguous (a contiguous vector, or whole rows of
-    a C array) the solve runs in place and the result is a view of rhs's
-    memory; otherwise dpttrs solves a Fortran copy and the result is new.
+    a C array, as every caller passes) the solve runs in place and the
+    result is a view of rhs's memory.
     """
     d, e = factor
     if d.size == 1:
@@ -347,7 +347,8 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
     factors = {}
     for ax, explicit, th in half_steps:
         if ax != axis:
-            np.take(w, to[ax], out=spare, mode="clip")     # "raise" buffers a copy
+            # mode "raise", the default, would take into a temporary and copy
+            np.take(w, to[ax], out=spare, mode="clip")
             w, spare, axis = spare, w, ax
         if explicit:
             plan.runs[ax].explicit(w, th, g, spare)
