@@ -5,10 +5,15 @@ variance 2 dt per coordinate), discretized by the five-point Laplacian on
 the cell centers.  Each domain shape has one solver:
 
 - Solid axis-aligned rectangles of cells (unit squares, torus sign cells,
-  corridor strips) are exact in time.  The DST-II diagonalizes the
-  face-anchored Dirichlet operator, so exp(t L) is one forward transform, a
-  diagonal decay exp(-t lambda_y) x exp(-t lambda_x) and one inverse
-  transform, whatever t is; n_steps plays no part.
+  corridor strips) are exact in time, and n_steps plays no part.  The
+  hitting problem factorizes: the killed walk is two interval walks, so
+  p_t = 1 - S_y (x) S_x with one 1-D survival S = idst(exp(-t lambda) s)
+  per axis (s the DST-II of ones), and the heat content is a product of
+  the two axes' lost masses (van den Berg & Srisatkunarajah, PTRF 86,
+  1990): two 1-D transforms for a field, none for a content.  General
+  data (dirichlet_semigroup_field) keeps the 2-D DST: one forward
+  transform, a diagonal decay exp(-t lambda_y) x exp(-t lambda_x) and one
+  inverse transform.
 - Every other mask is stepped with Crank-Nicolson realized as a
   Peaceman-Rachford directional split, the first two steps done as split
   implicit-Euler half-steps to damp the discontinuous start data.  Each
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn
+from scipy.fft import dst, dstn, idst, idstn
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EmptyDomainError, InvalidParameterError, SolverError
@@ -78,14 +83,12 @@ class HeatContentCurve:
 # directional run plan
 # ---------------------------------------------------------------------------
 
-def _dirichlet_decay(n: int, h: float, duration: float) -> np.ndarray:
-    """exp(-duration lambda_k) for the DST-II modes k = 1..n of one axis.
-
-    lambda_k = 4/h^2 sin^2(pi k / 2n) are the eigenvalues of minus the
-    face-anchored Dirichlet second difference on n cell centers.
-    """
+def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
+    """lambda_k = 4/h^2 sin^2(pi k / 2n) for the DST-II modes k = 1..n of one
+    axis: the eigenvalues of minus the face-anchored Dirichlet second
+    difference on n cell centers."""
     k = np.arange(1, n + 1)
-    return np.exp(-duration * (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2)
+    return (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
 
 
 def _pt_factor(d: np.ndarray, e: np.ndarray):
@@ -261,13 +264,16 @@ class _RunVector:
 class _AdiPlan:
     """Solver plan for one domain.
 
-    A solid axis-aligned rectangle of cells is served by the exact DST
-    propagator on its bounding slice.  Any other mask is held, per axis,
-    as one _RunVector of its in-domain cells (rows for x, columns for y);
-    x_to_y and y_to_x are the permutations between the two orders
-    (w_y = w_x[x_to_y]).  _evolve gathers the cells once, steps on the
-    vectors and scatters them back once, so cells outside the domain are
-    never touched and keep the boundary value.
+    A solid axis-aligned rectangle of cells (rect = (y0, y1, x0, x1)) is
+    served exactly in time on its bounding slice: the hitting problem
+    through its two 1-D factors, other data through the 2-D DST.  modes
+    holds (s, lambda) of the y and x axes, s = DST-II (ortho) of ones on
+    the axis's cells and lambda its Dirichlet eigenvalues.  Any other mask
+    is held, per axis, as one _RunVector of its in-domain cells (rows for
+    x, columns for y); x_to_y and y_to_x are the permutations between the
+    two orders (w_y = w_x[x_to_y]).  _evolve gathers the cells once, steps
+    on the vectors and scatters them back once, so cells outside the
+    domain are never touched and keep the boundary value.
     """
 
     def __init__(self, inmask: np.ndarray, grid: GridSpec):
@@ -275,6 +281,9 @@ class _AdiPlan:
         self.inmask = inmask
         self.rect = self._detect_rectangle(inmask, grid)
         if self.rect is not None:
+            y0, y1, x0, x1 = self.rect
+            self.modes = [(dst(np.ones(n), type=2, norm="ortho"),
+                           _dirichlet_eigenvalues(n, grid.h)) for n in (y1 - y0, x1 - x0)]
             return
         nx = inmask.shape[1]
         self.runs = {"x": _RunVector(inmask, grid.periodic_x, nx, 1),
@@ -302,15 +311,40 @@ class _AdiPlan:
             return None
         return (y0, y1, x0, x1)
 
+    # -- the hitting problem on a rectangle: two interval walks ---------------
+
+    def hitting_content(self, duration: float) -> float:
+        """Heat content of the hitting field at time duration.
+
+        The killed walk on a rectangle is two independent interval walks,
+        so p = 1 - S_y (x) S_x.  Each axis loses the mass
+        A = sum_k -expm1(-duration lambda_k) s_k^2 (the sum of its 1 - S),
+        and the content is h^2 (n_x A_y + n_y A_x - A_x A_y).  Every term
+        of A is nonnegative, so nothing cancels.
+        """
+        (ny, a_y), (nx, a_x) = [(s.size, float(np.dot(-np.expm1(-duration * lam), s * s)))
+                                for s, lam in self.modes]
+        return self.grid.h ** 2 * (nx * a_y + ny * a_x - a_x * a_y)
+
+    def apply_hitting(self, u2: np.ndarray, duration: float):
+        """Write p = 1 - S_y (x) S_x into the rectangle's slice of u2, with
+        S = idst(exp(-duration lambda) s) the survival of one axis."""
+        y0, y1, x0, x1 = self.rect
+        s_y, s_x = [idst(np.exp(-duration * lam) * s, type=2, norm="ortho")
+                    for s, lam in self.modes]
+        blk = u2[y0:y1, x0:x1]
+        np.multiply(s_y[:, None], s_x, out=blk)
+        np.subtract(1.0, blk, out=blk)
+
     # -- exact exp(duration L) on a rectangle, Dirichlet value g --------------
 
     def apply_exact(self, u2: np.ndarray, g: float, duration: float):
         y0, y1, x0, x1 = self.rect
         blk = u2[y0:y1, x0:x1]
-        h = self.grid.h
         coef = dstn(blk - g, type=2, norm="ortho", overwrite_x=True)
-        coef *= _dirichlet_decay(y1 - y0, h, duration)[:, None]
-        coef *= _dirichlet_decay(x1 - x0, h, duration)
+        (_, lam_y), (_, lam_x) = self.modes
+        coef *= np.exp(-duration * lam_y)[:, None]
+        coef *= np.exp(-duration * lam_x)
         blk[:] = idstn(coef, type=2, norm="ortho", overwrite_x=True)
         blk += g
 
@@ -375,24 +409,34 @@ def _get_plan(mask: DomainMask, label: int) -> _AdiPlan:
     return plan
 
 
+def _hitting_plan(mask: DomainMask, label: int, t: float, n_steps: int) -> _AdiPlan:
+    if t < 0:
+        raise InvalidParameterError("t must be nonnegative")
+    if n_steps < 10:
+        raise InvalidParameterError("n_steps must be at least 10")
+    return _get_plan(mask, label)
+
+
 def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 128) -> SurvivalField:
     """Field of boundary-hitting probabilities p_t on one nodal domain.
 
     Solves u_t = Laplace(u), u = 1 on the absorbing cells, u(0) = 0, and
     clips the result to [0, 1], recording the clip magnitudes.  n_steps
-    (at least 10) is the number of ADI steps on general masks; rectangles
-    are solved exactly in time and only validate it.
+    (at least 10) is the number of ADI steps on general masks.  On a
+    rectangle the hitting problem factorizes, p = 1 - S_y (x) S_x with one
+    1-D survival per axis, exact in time; n_steps is only validated.  There
+    exp(t L_1) is entrywise nonnegative and substochastic, so the exact
+    field lies in [0, 1] and the clip takes rounding only.
     """
-    if t < 0:
-        raise InvalidParameterError("t must be nonnegative")
-    if n_steps < 10:
-        raise InvalidParameterError("n_steps must be at least 10")
-    plan = _get_plan(mask, label)
+    plan = _hitting_plan(mask, label, t, n_steps)
     grid = mask.grid
     sel = plan.inmask
     vals = np.ones((grid.ny, grid.nx))
     vals[sel] = 0.0
-    _evolve(plan, vals, 1.0, t, n_steps)
+    if plan.rect is None:
+        _evolve(plan, vals, 1.0, t, n_steps)
+    elif t > 0:
+        plan.apply_hitting(vals, t)
     inner = vals[sel]
     clip_low = max(0.0, float(-inner.min(initial=0.0)))
     clip_high = max(0.0, float(inner.max(initial=0.0) - 1.0))
@@ -403,22 +447,28 @@ def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 1
 
 
 def heat_content(mask: DomainMask, label: int, t: float, n_steps: int = 128) -> float:
-    """Area-weighted integral of p_t over the domain (n_steps as in solve_hitting_field)."""
+    """Area-weighted integral of p_t over the domain (n_steps as in
+    solve_hitting_field).  On a rectangle it is the product form of the
+    two axes' lost masses, exact in time, with no field and no clip."""
+    plan = _hitting_plan(mask, label, t, n_steps)
+    if plan.rect is not None:
+        return plan.hitting_content(t)
     fld = solve_hitting_field(mask, label, t, n_steps)
-    sel = mask.cells(label)
-    return float(fld.values[sel].sum() * mask.grid.h ** 2)
+    return float(fld.values[plan.inmask].sum() * mask.grid.h ** 2)
 
 
 def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128) -> HeatContentCurve:
     """Heat content at each time plus the c * sqrt(t) least-squares slope.
 
-    One evolution visits the ascending times (the flow is autonomous, so
-    continuing from a snapshot is exact).  Rectangles take each leg exactly
-    in time; on other masks the first leg gets n_steps (at least 10) ADI
-    steps and each later leg max(10, n_steps/4) Peaceman-Rachford steps.
-    The fit is constrained through the origin with weights 1/sqrt(t), i.e.
-    equal relative weight across the decade; r^2 is reported against the
-    fit.
+    On a rectangle each content is heat_content's product form at that
+    time: exact in time, with no field, and so with nothing to clip.
+    Other masks take one evolution over the ascending times (the flow is
+    autonomous, so continuing from a snapshot is exact): the first leg gets
+    n_steps (at least 10) ADI steps and each later leg max(10, n_steps/4)
+    Peaceman-Rachford steps, and each content sums the field clipped to
+    [0, 1].  The fit is constrained through the origin with weights
+    1/sqrt(t), i.e. equal relative weight across the decade; r^2 is
+    reported against the fit.
     """
     if n_steps < 10:
         raise InvalidParameterError("n_steps must be at least 10")
@@ -435,20 +485,22 @@ def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128)
             f"largest time {times[-1]:.3g} exceeds inradius^2 = {rho ** 2:.3g}")
 
     plan = _get_plan(mask, label)
-    grid = mask.grid
-    sel = plan.inmask
-    cell_area = grid.h ** 2
-    n_leg = max(10, n_steps // 4)
-
-    vals = np.ones((grid.ny, grid.nx))
-    vals[sel] = 0.0
-    contents = np.empty(times.size)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        _evolve(plan, vals, 1.0, t - t_prev,
-                n_steps if i == 0 else n_leg, startup=(i == 0))
-        contents[i] = np.clip(vals[sel], 0.0, 1.0).sum() * cell_area
-        t_prev = t
+    if plan.rect is not None:
+        contents = np.array([plan.hitting_content(t) for t in times])
+    else:
+        grid = mask.grid
+        sel = plan.inmask
+        cell_area = grid.h ** 2
+        n_leg = max(10, n_steps // 4)
+        vals = np.ones((grid.ny, grid.nx))
+        vals[sel] = 0.0
+        contents = np.empty(times.size)
+        t_prev = 0.0
+        for i, t in enumerate(times):
+            _evolve(plan, vals, 1.0, t - t_prev,
+                    n_steps if i == 0 else n_leg, startup=(i == 0))
+            contents[i] = np.clip(vals[sel], 0.0, 1.0).sum() * cell_area
+            t_prev = t
 
     sqrt_t = np.sqrt(times)
     slope = float(contents.sum() / sqrt_t.sum())    # weighted LS, w = 1/sqrt(t)
@@ -460,13 +512,23 @@ def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128)
 
 
 def domain_inradius_cached(mask: DomainMask, label: int) -> float:
+    """nodal.domain_inradius, kept on the mask.  A rectangle's comes from
+    its extents, the value the EDT gives: its deepest cell lies
+    (min(ny, nx) + 1) // 2 cells from the nearest outside cell, and a
+    rectangle is at least two cells wide, so the EDT's floor of half a
+    cell never binds."""
     cache = getattr(mask, "_inradii", None)
     if cache is None:
         cache = {}
         mask._inradii = cache
     if label not in cache:
-        from .nodal import domain_inradius
-        cache[label] = domain_inradius(mask, label)
+        rect = _get_plan(mask, label).rect
+        if rect is None:
+            from .nodal import domain_inradius
+            cache[label] = domain_inradius(mask, label)
+        else:
+            y0, y1, x0, x1 = rect
+            cache[label] = ((min(y1 - y0, x1 - x0) + 1) // 2 - 0.5) * mask.grid.h
     return cache[label]
 
 

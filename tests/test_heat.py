@@ -6,10 +6,11 @@ from scipy.special import erfc
 
 import nodalheat as nh
 import nodalheat.bounds  # binds nh.bounds; the package does not import it
-from nodalheat.errors import InvalidParameterError
+from nodalheat.errors import InvalidParameterError, UnknownLabelError
 from nodalheat.heat import (
     _get_plan,
     dirichlet_semigroup_field,
+    domain_inradius_cached,
     heat_content,
     heat_content_curve,
     solve_hitting_field,
@@ -235,6 +236,115 @@ class TestContentCurve:
         with pytest.raises(InvalidParameterError, match="n_steps"):
             heat_content_curve(mask, label, np.logspace(-4, -3, 6), n_steps=n_steps)
 
+
+def _rect_cases():
+    """(name, mask, label) of solid rectangles, each served by the factors."""
+    def full(nx, ny, ex, ey):
+        grid = nh.GridSpec(nx=nx, ny=ny, extent_x=ex, extent_y=ey)
+        return nh.label_nodal_domains(nh.indicator_field(grid, np.ones((ny, nx), dtype=bool)))
+
+    m23 = nh.make_torus_eigenfunction(2, 3)
+    torus = nh.label_nodal_domains(nh.sample_field(m23, nh.grid_for_model(m23, 512)))
+    # off the edges of an x-periodic grid
+    grid = nh.GridSpec(nx=64, ny=64, periodic_x=True)
+    inside = np.zeros((64, 64), dtype=bool)
+    inside[10:41, 7:50] = True
+    off = nh.label_nodal_domains(nh.indicator_field(grid, inside))
+    return [("square", unit_square_mask(96), 1),
+            ("48x80", full(48, 80, 0.6, 1.0), 1),
+            ("torus23_first", torus, 1),
+            ("torus23_last", torus, torus.n_labels),
+            ("off_edge", off, nh.nodal.principal_label(off, 1))]
+
+
+class TestRectangleFactors:
+    """On a rectangle the hitting problem is solved through its two 1-D
+    factors.  It must agree with the 2-D route, 1 minus the exact killed
+    evolution of the constant 1 (dirichlet_semigroup_field)."""
+
+    TIMES = np.logspace(-4, -3, 6)
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _rect_cases()
+
+    @staticmethod
+    def _two_d(mask, label, t):
+        w = dirichlet_semigroup_field(ConstantModel(1.0), mask, label, t, n_steps=10)
+        return 1 - w.values[mask.cells(label)]
+
+    def test_contents_match_2d_route(self, cases):
+        for name, mask, label in cases:
+            assert _get_plan(mask, label).rect is not None, name
+            h2 = mask.grid.h ** 2
+            ref = np.array([self._two_d(mask, label, t).sum() * h2 for t in self.TIMES])
+            curve = heat_content_curve(mask, label, self.TIMES, n_steps=32)
+            single = np.array([heat_content(mask, label, t, n_steps=32) for t in self.TIMES])
+            assert np.abs(curve.contents / ref - 1).max() <= 1e-12, name
+            assert np.abs(single / ref - 1).max() <= 1e-12, name
+
+    def test_field_matches_2d_route(self, cases):
+        for name, mask, label in cases:
+            sel = mask.cells(label)
+            for t in (1e-4, 1e-3, 5e-2):
+                fld = solve_hitting_field(mask, label, t, n_steps=32)
+                assert np.abs(fld.values[sel] - self._two_d(mask, label, t)).max() <= 1e-12, name
+                assert np.all(fld.values[~sel] == 1.0)
+                assert fld.clip_low <= 1e-12 and fld.clip_high <= 1e-12, name
+
+    def test_exact_in_time(self, cases):
+        for name, mask, label in cases:
+            coarse = heat_content_curve(mask, label, self.TIMES, n_steps=10)
+            fine = heat_content_curve(mask, label, self.TIMES, n_steps=400)
+            assert np.array_equal(coarse.contents, fine.contents), name
+
+    def test_validation_errors_and_order(self, cases):
+        # rectangles raise what every other mask raises, in the same order
+        _, mask, label = cases[1]
+        for solve in (solve_hitting_field, heat_content):
+            with pytest.raises(InvalidParameterError, match="^t must be nonnegative$"):
+                solve(mask, label, -1e-3, n_steps=4)
+            with pytest.raises(InvalidParameterError, match="^n_steps must be at least 10$"):
+                solve(mask, 2, 1e-3, n_steps=9)
+            with pytest.raises(UnknownLabelError, match="label 2 not in 1..1"):
+                solve(mask, 2, 1e-3)
+        with pytest.raises(InvalidParameterError, match="^n_steps must be at least 10$"):
+            heat_content_curve(mask, 2, [1e-4, 1e-3], n_steps=9)
+        with pytest.raises(UnknownLabelError, match="label 2 not in 1..1"):
+            heat_content_curve(mask, 2, self.TIMES)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^largest time 0.1 exceeds inradius\^2 = 0.0863$"):
+            heat_content_curve(mask, label, np.logspace(-3, -1, 5))
+
+
+def _inradius_rects():
+    """(mask, label) of every rectangle label of a spread of masks."""
+    masks = []
+    for n in (2, 3, 4, 7, 16, 33):
+        masks.append(unit_square_mask(n))
+    for k, l in ((1, 1), (2, 2), (3, 3), (2, 3)):
+        m = nh.make_torus_eigenfunction(k, l)
+        masks.append(nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 96))))
+    boxes = [(0, 20, 0, 24), (3, 9, 5, 17), (0, 2, 4, 11), (7, 20, 0, 13),
+             (1, 19, 1, 23), (5, 8, 0, 24), (0, 20, 10, 12), (12, 20, 15, 24)]
+    for px, py in ((False, False), (True, False), (False, True), (True, True)):
+        grid = nh.GridSpec(nx=24, ny=20, extent_x=1.2, extent_y=1.0,
+                           periodic_x=px, periodic_y=py)
+        for y0, y1, x0, x1 in boxes:
+            inside = np.zeros((20, 24), dtype=bool)
+            inside[y0:y1, x0:x1] = True
+            masks.append(nh.label_nodal_domains(nh.indicator_field(grid, inside)))
+    return [(mask, label) for mask in masks for label in range(1, mask.n_labels + 1)
+            if _get_plan(mask, label).rect is not None]
+
+
+def test_rectangle_inradius_from_extents():
+    # a rectangle's inradius comes from its extents, without the EDT, and
+    # must be the EDT's value to the last bit
+    rects = _inradius_rects()
+    assert len(rects) >= 100
+    for mask, label in rects:
+        assert domain_inradius_cached(mask, label).hex() == nh.domain_inradius(mask, label).hex()
 
 class DstMode:
     """Product of sines that is an exact DST-II mode of the cell-centered grid."""
