@@ -7,13 +7,12 @@ the cell centers.  Each domain shape has one solver:
 - Solid axis-aligned rectangles of cells (unit squares, torus sign cells,
   corridor strips) are exact in time, and n_steps plays no part.  The
   hitting problem factorizes: the killed walk is two interval walks, so
-  p_t = 1 - S_y (x) S_x with one 1-D survival S = idst(exp(-t lambda) s)
-  per axis (s the DST-II of ones), and the heat content is a product of
-  the two axes' lost masses (van den Berg & Srisatkunarajah, PTRF 86,
-  1990): two 1-D transforms for a field, none for a content.  General
-  data (dirichlet_semigroup_field) keeps the 2-D DST: one forward
-  transform, a diagonal decay exp(-t lambda_y) x exp(-t lambda_x) and one
-  inverse transform.
+  p_t = 1 - S_y (x) S_x, and the heat content is a product of the two
+  axes' lost masses (van den Berg & Srisatkunarajah, PTRF 86, 1990),
+  which needs no transform at all.  Fields, of the hitting problem and of
+  eigenfunction data (dirichlet_semigroup_field), keep the 2-D DST: one
+  forward transform, a diagonal decay exp(-t lambda_y) x exp(-t lambda_x)
+  and one inverse transform.
 - Every other mask is stepped with Crank-Nicolson realized as a
   Peaceman-Rachford directional split, the first two steps done as split
   implicit-Euler half-steps to damp the discontinuous start data.  Each
@@ -35,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, dstn, idst, idstn
+from scipy.fft import dst, dstn, idstn
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EmptyDomainError, InvalidParameterError, SolverError
@@ -83,12 +82,14 @@ class HeatContentCurve:
 # directional run plan
 # ---------------------------------------------------------------------------
 
-def _dirichlet_eigenvalues(n: int, h: float) -> np.ndarray:
-    """lambda_k = 4/h^2 sin^2(pi k / 2n) for the DST-II modes k = 1..n of one
-    axis: the eigenvalues of minus the face-anchored Dirichlet second
-    difference on n cell centers."""
+def _dirichlet_exponent(n: int, h: float, duration: float) -> np.ndarray:
+    """-duration lambda_k for the DST-II modes k = 1..n of one axis.
+
+    lambda_k = 4/h^2 sin^2(pi k / 2n) are the eigenvalues of minus the
+    face-anchored Dirichlet second difference on n cell centers.
+    """
     k = np.arange(1, n + 1)
-    return (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
+    return -duration * (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
 
 
 def _pt_factor(d: np.ndarray, e: np.ndarray):
@@ -265,15 +266,15 @@ class _AdiPlan:
     """Solver plan for one domain.
 
     A solid axis-aligned rectangle of cells (rect = (y0, y1, x0, x1)) is
-    served exactly in time on its bounding slice: the hitting problem
-    through its two 1-D factors, other data through the 2-D DST.  modes
-    holds (s, lambda) of the y and x axes, s = DST-II (ortho) of ones on
-    the axis's cells and lambda its Dirichlet eigenvalues.  Any other mask
-    is held, per axis, as one _RunVector of its in-domain cells (rows for
-    x, columns for y); x_to_y and y_to_x are the permutations between the
-    two orders (w_y = w_x[x_to_y]).  _evolve gathers the cells once, steps
-    on the vectors and scatters them back once, so cells outside the
-    domain are never touched and keep the boundary value.
+    served exactly in time on its bounding slice: heat contents through
+    the two 1-D factors of the hitting problem, fields through the 2-D
+    DST.  ones_dst holds s = DST-II (ortho) of ones on the y and on the x
+    axis's cells.  Any other mask is held, per axis, as one _RunVector of
+    its in-domain cells (rows for x, columns for y); x_to_y and y_to_x are
+    the permutations between the two orders (w_y = w_x[x_to_y]).  _evolve
+    gathers the cells once, steps on the vectors and scatters them back
+    once, so cells outside the domain are never touched and keep the
+    boundary value.
     """
 
     def __init__(self, inmask: np.ndarray, grid: GridSpec):
@@ -282,8 +283,7 @@ class _AdiPlan:
         self.rect = self._detect_rectangle(inmask, grid)
         if self.rect is not None:
             y0, y1, x0, x1 = self.rect
-            self.modes = [(dst(np.ones(n), type=2, norm="ortho"),
-                           _dirichlet_eigenvalues(n, grid.h)) for n in (y1 - y0, x1 - x0)]
+            self.ones_dst = [dst(np.ones(n), type=2, norm="ortho") for n in (y1 - y0, x1 - x0)]
             return
         nx = inmask.shape[1]
         self.runs = {"x": _RunVector(inmask, grid.periodic_x, nx, 1),
@@ -322,29 +322,21 @@ class _AdiPlan:
         and the content is h^2 (n_x A_y + n_y A_x - A_x A_y).  Every term
         of A is nonnegative, so nothing cancels.
         """
-        (ny, a_y), (nx, a_x) = [(s.size, float(np.dot(-np.expm1(-duration * lam), s * s)))
-                                for s, lam in self.modes]
-        return self.grid.h ** 2 * (nx * a_y + ny * a_x - a_x * a_y)
-
-    def apply_hitting(self, u2: np.ndarray, duration: float):
-        """Write p = 1 - S_y (x) S_x into the rectangle's slice of u2, with
-        S = idst(exp(-duration lambda) s) the survival of one axis."""
-        y0, y1, x0, x1 = self.rect
-        s_y, s_x = [idst(np.exp(-duration * lam) * s, type=2, norm="ortho")
-                    for s, lam in self.modes]
-        blk = u2[y0:y1, x0:x1]
-        np.multiply(s_y[:, None], s_x, out=blk)
-        np.subtract(1.0, blk, out=blk)
+        h = self.grid.h
+        (ny, a_y), (nx, a_x) = [
+            (s.size, float(np.dot(-np.expm1(_dirichlet_exponent(s.size, h, duration)), s * s)))
+            for s in self.ones_dst]
+        return h ** 2 * (nx * a_y + ny * a_x - a_x * a_y)
 
     # -- exact exp(duration L) on a rectangle, Dirichlet value g --------------
 
     def apply_exact(self, u2: np.ndarray, g: float, duration: float):
         y0, y1, x0, x1 = self.rect
         blk = u2[y0:y1, x0:x1]
+        h = self.grid.h
         coef = dstn(blk - g, type=2, norm="ortho", overwrite_x=True)
-        (_, lam_y), (_, lam_x) = self.modes
-        coef *= np.exp(-duration * lam_y)[:, None]
-        coef *= np.exp(-duration * lam_x)
+        coef *= np.exp(_dirichlet_exponent(y1 - y0, h, duration))[:, None]
+        coef *= np.exp(_dirichlet_exponent(x1 - x0, h, duration))
         blk[:] = idstn(coef, type=2, norm="ortho", overwrite_x=True)
         blk += g
 
@@ -422,21 +414,21 @@ def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 1
 
     Solves u_t = Laplace(u), u = 1 on the absorbing cells, u(0) = 0, and
     clips the result to [0, 1], recording the clip magnitudes.  n_steps
-    (at least 10) is the number of ADI steps on general masks.  On a
-    rectangle the hitting problem factorizes, p = 1 - S_y (x) S_x with one
-    1-D survival per axis, exact in time; n_steps is only validated.  There
-    exp(t L_1) is entrywise nonnegative and substochastic, so the exact
-    field lies in [0, 1] and the clip takes rounding only.
+    (at least 10) is the number of ADI steps on general masks.  A rectangle
+    is solved exactly in time by the 2-D DST, and n_steps is only
+    validated.  There exp(t L_1) is entrywise nonnegative and
+    substochastic, so the exact field lies in [0, 1] and the clip takes
+    rounding only.
     """
-    plan = _hitting_plan(mask, label, t, n_steps)
-    grid = mask.grid
+    return _hitting_field(_hitting_plan(mask, label, t, n_steps), label, t, n_steps)
+
+
+def _hitting_field(plan: _AdiPlan, label: int, t: float, n_steps: int) -> SurvivalField:
+    grid = plan.grid
     sel = plan.inmask
     vals = np.ones((grid.ny, grid.nx))
     vals[sel] = 0.0
-    if plan.rect is None:
-        _evolve(plan, vals, 1.0, t, n_steps)
-    elif t > 0:
-        plan.apply_hitting(vals, t)
+    _evolve(plan, vals, 1.0, t, n_steps)
     inner = vals[sel]
     clip_low = max(0.0, float(-inner.min(initial=0.0)))
     clip_high = max(0.0, float(inner.max(initial=0.0) - 1.0))
@@ -453,7 +445,7 @@ def heat_content(mask: DomainMask, label: int, t: float, n_steps: int = 128) -> 
     plan = _hitting_plan(mask, label, t, n_steps)
     if plan.rect is not None:
         return plan.hitting_content(t)
-    fld = solve_hitting_field(mask, label, t, n_steps)
+    fld = _hitting_field(plan, label, t, n_steps)
     return float(fld.values[plan.inmask].sum() * mask.grid.h ** 2)
 
 

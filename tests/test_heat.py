@@ -258,9 +258,10 @@ def _rect_cases():
 
 
 class TestRectangleFactors:
-    """On a rectangle the hitting problem is solved through its two 1-D
-    factors.  It must agree with the 2-D route, 1 minus the exact killed
-    evolution of the constant 1 (dirichlet_semigroup_field)."""
+    """On a rectangle the heat content is taken from the two 1-D factors of
+    the hitting problem, and the field from the exact 2-D DST.  Both must
+    agree with 1 minus the exact killed evolution of the constant 1
+    (dirichlet_semigroup_field)."""
 
     TIMES = np.logspace(-4, -3, 6)
 
