@@ -28,13 +28,13 @@ print(f"nodal domains: {mask.n_labels}  (closed form: 24)")
 for label in (1, 2):
     area = mask.area(label)
     rho = nh.domain_inradius(mask, label)
-    perim = nh.boundary_length(mask, label, field)
+    perim = nh.boundary_length(mask, label)
     print(f"  domain {label}: sign {mask.sign(label):+d}, area {area:.5f} "
           f"(1/24 = {1 / 24:.5f}), inradius {rho:.5f} (1/12 = {1 / 12:.5f}), "
           f"boundary {perim:.5f} (5/6 = {5 / 6:.5f})")
 
 # the per-domain boundaries count every interior arc twice
-total_boundary = sum(nh.boundary_length(mask, k, field)
+total_boundary = sum(nh.boundary_length(mask, k)
                      for k in range(1, mask.n_labels + 1))
 print(f"sum of domain boundaries {total_boundary:.4f} "
       f"~ 2 x nodal length = {2 * nodal_set.total_length:.4f}")

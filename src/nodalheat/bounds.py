@@ -10,7 +10,6 @@ numerical counterexample flag is their deliverable.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as _dfield, replace
 
 import numpy as np
@@ -246,11 +245,9 @@ def check_comparison_lemma(model: EigenfunctionModel, mask: DomainMask, label: i
     ident_worst = 0.0
     h = grid.h
     for x in points:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fk = feynman_kac_dirichlet(model, mask, label, x, t, cfg)
-            hit = estimate_hitting_probability(mask, label, x, t, cfg)
-            xi = xi_evolution(model, mask, label, x, t, cfg)
+        fk = feynman_kac_dirichlet(model, mask, label, x, t, cfg)
+        hit = estimate_hitting_probability(mask, label, x, t, cfg)
+        xi = xi_evolution(model, mask, label, x, t, cfg)
         u0 = float(model.evaluate(x[0], x[1])) * mask.sign(label)
         # orient u positive on the domain (replace u by -u on negative domains)
         gap = (xi.mean - fk.mean) * mask.sign(label)
@@ -309,7 +306,7 @@ def theorem1_certificate(model: EigenfunctionModel, grid: GridSpec,
         norms = compute_norms(model, mask, grid, label=label)
         lhs = heat_content(mask, label, t, n_steps)
         rhs = (1 - math.exp(-lam * t)) / math.sqrt(t) * norms.l1 / norms.grad_linf
-        blen = boundary_length(mask, label, field)
+        blen = boundary_length(mask, label)
         ratio = lhs / rhs if rhs > 0 else np.inf
         ratios.append(ratio)
         sum_l1_grad += norms.l1 / norms.grad_linf
@@ -371,9 +368,7 @@ def max_point_survival(model: EigenfunctionModel, mask: DomainMask, label: int,
     x_star, (iy, ix) = _field_argmax(mask, label)
     fld = solve_hitting_field(mask, label, t, n_steps)
     p_fd = float(fld.values[iy, ix])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        est = estimate_hitting_probability(mask, label, x_star, t, cfg)
+    est = estimate_hitting_probability(mask, label, x_star, t, cfg)
     allow = mc_probability_allowance(t, cfg)
 
     rep = ExperimentReport(
@@ -954,10 +949,8 @@ def global_survival_field(model: EigenfunctionModel, grid: GridSpec,
     rep.check("per-domain-minima", None,
               "domain minima: " + ", ".join(f"{v:.6f}" for v in minima))
     if cfg is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = estimate_hitting_probability(mask, int(mask.labels[iy, ix]),
-                                               loc, t, cfg)
+        est = estimate_hitting_probability(mask, int(mask.labels[iy, ix]),
+                                           loc, t, cfg)
         allow = mc_probability_allowance(t, cfg)
         rep.constants["inf_p_mc"] = est.mean
         rep.check("mc-agrees-at-infimum",

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -115,7 +116,7 @@ EXPERIMENT_FLAGS = {
     "theorem1": ("modes", "grid", "steps"),
     "max-point": ("model", "grid", "domain", "t", "steps") + _WALK,
     "thin-domain": ("model", "grid", "c", "t") + _WALK,
-    "avoided-crossing": ("alpha", "lam-geom", "squares", "margin") + _WALK,
+    "avoided-crossing": ("alpha", "lam-geom", "squares", "margin", "paths", "seed"),
     "cone": ("alpha", "r", "k") + _WALK,
     "isoperimetry": ("grid", "times", "steps"),
     "global-survival": ("model", "grid", "steps", "emit-fields") + _WALK,
@@ -250,7 +251,7 @@ def run_heat_content(ns) -> bounds.ExperimentReport:
     grid, field, mask, label = _mask_label(model, ns.grid, ns.domain)
     times = parse_times(ns.times)
     curve = heat_content_curve(mask, label, times, n_steps=ns.steps)
-    perim = boundary_length(mask, label, field)
+    perim = boundary_length(mask, label)
     ref = bounds.HALFPLANE_CONSTANT * perim
     rep = bounds.ExperimentReport(
         name="heat-content",
@@ -396,7 +397,9 @@ def run_thin_domain(ns) -> bounds.ExperimentReport:
 def run_avoided_crossing(ns) -> bounds.ExperimentReport:
     cor = bounds.CorridorSpec(lam_geom=ns.lam_geom, n_covered=ns.squares,
                               n_margin=ns.margin)
-    return bounds.avoided_crossing_scan(cor, ns.alpha, _path_cfg(ns))
+    # the corridor walk is one exact step in time: it has no --dt or --bridge
+    cfg = PathEnsembleConfig(n_paths=ns.paths, seed=ns.seed)
+    return bounds.avoided_crossing_scan(cor, ns.alpha, cfg)
 
 
 def run_cone(ns) -> bounds.ExperimentReport:
@@ -484,14 +487,13 @@ def run_suite(ns) -> int:
     parser = build_parser()
 
     def run_one(argv):
-        name = argv[0]
         sub_ns = parser.parse_args(argv + ["--out", ns.out])
         try:
-            rep = _run_recording_warnings(name, sub_ns)
+            rep = _run_recording_warnings(sub_ns)
         except Exception as exc:   # a crashed job must not kill the suite
-            rep = bounds.ExperimentReport(name=name, claim="(crashed)")
+            rep = bounds.ExperimentReport(name=sub_ns.experiment, claim="(crashed)")
             rep.check("completed", False, f"{type(exc).__name__}: {exc}")
-        return name, rep
+        return sub_ns.experiment, rep
 
     with ThreadPoolExecutor(max_workers=ns.threads) as pool:
         results = list(pool.map(run_one, _suite_jobs(ns)))
@@ -509,12 +511,21 @@ def run_suite(ns) -> int:
     return worst
 
 
-def _run_recording_warnings(name, ns) -> bounds.ExperimentReport:
-    """Run one experiment; sampling warnings land in the report notes."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = DISPATCH[name](ns)
-    rep.notes.extend(dict.fromkeys(f"warning: {w.message}" for w in caught))
+# The warnings raised on each thread since its job started.  `main` installs
+# _file_warning as warnings.showwarning for the whole command; a thread runs
+# one job at a time, so each list holds the warnings of exactly one job.
+_raised = threading.local()
+
+
+def _file_warning(message, *_):
+    _raised.messages.append(f"warning: {message}")
+
+
+def _run_recording_warnings(ns) -> bounds.ExperimentReport:
+    """Run one experiment; the warnings it raises land in the report notes."""
+    _raised.messages = []
+    rep = DISPATCH[ns.experiment](ns)
+    rep.notes.extend(dict.fromkeys(_raised.messages))
     return rep
 
 
@@ -594,10 +605,15 @@ def main(argv=None) -> int:
         ns = parse_args(argv)
     except SystemExit as exc:       # --help, or a usage error already printed
         return exc.code
+    # The warnings state is process-wide and not thread-safe, so it is set
+    # here once, on the main thread, around every experiment of the command.
     try:
-        if ns.experiment == "suite":
-            return run_suite(ns)
-        rep = _run_recording_warnings(ns.experiment, ns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _file_warning
+            if ns.experiment == "suite":
+                return run_suite(ns)
+            rep = _run_recording_warnings(ns)
         paths = emit_report(rep, ns.out)
         print(f"[{rep.verdict.upper()}] {rep.name}: " + ", ".join(paths))
         return 0 if rep.verdict in ("pass", "report-only") else 1

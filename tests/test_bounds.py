@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from nodalheat.bounds import (
     theorem1_certificate,
     thin_domain_check,
 )
+from nodalheat.errors import ResolutionWarning
 from nodalheat.stochastic import PathEnsembleConfig, sup_hitting_check
 
 
@@ -51,13 +51,14 @@ class TestComparisonLemma:
         t = 1 / LAM11
         cfg = PathEnsembleConfig(n_paths=3000, dt=t / 150, seed=5)
         x = (0.25, 2.5 * grid.h)      # two-ish cells from the wall
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = check_comparison_lemma(torus11, mask, 1, [x], t, cfg)
+        rep = check_comparison_lemma(torus11, mask, 1, [x], t, cfg)
         assert rep.verdict == "pass"
         u0 = float(torus11.evaluate(*x))
         gap = rep.curves["points"][0, 4]
         assert gap <= 3 * grid.h * 2 * np.pi     # mean-value bound with slack
+        # from within one cell of the wall, the walks' caveat reaches the caller
+        with pytest.warns(ResolutionWarning, match="within one cell"):
+            check_comparison_lemma(torus11, mask, 1, [(0.25, 0.5 * grid.h)], t, cfg)
 
 
 class TestTheorem1:

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +90,9 @@ class TestFlagTable:
             assert _dests(sp) == _reads(driver) | {"out", "config"}, name
 
     def test_settable_value_count(self):
-        # 15 shared flags on all 11 subcommands plus 10 own flags made 175
-        assert sum(len(_dests(sp)) for sp in _subparsers().values()) == 91
+        # 15 shared flags on all 11 subcommands plus 10 own flags made 175;
+        # avoided-crossing lost --dt and --bridge, which its walk never read
+        assert sum(len(_dests(sp)) for sp in _subparsers().values()) == 89
 
     @pytest.mark.parametrize("quick", [True, False])
     def test_suite_jobs_parse(self, quick):
@@ -147,12 +150,6 @@ class TestExitCodes:
                                          "--grid", "64", "--paths", "100"], tmp_path)
         assert "--t" in err
 
-    def test_avoided_crossing_dt_validated(self, capsys, tmp_path):
-        # the corridor walk is exact in time, but --dt is still checked against t/100
-        err = self._usage_error(capsys, ["avoided-crossing", "--dt", "1",
-                                         "--paths", "100"], tmp_path)
-        assert "dt" in err
-
     @pytest.mark.parametrize("argv", [
         ["theorem1", "--model", "disk:0,1"],
         ["suite", "--grid", "64"],
@@ -162,12 +159,14 @@ class TestExitCodes:
         ["comparison", "--quick"],
         ["heat-content", "--frobnicate", "1"],
         ["heat-content", "--grid", "x"],
+        ["avoided-crossing", "--dt", "1e-5"],
+        ["avoided-crossing", "--no-bridge"],
     ])
     def test_flag_not_read_or_malformed(self, capsys, tmp_path, argv):
         err = self._usage_error(capsys, argv, tmp_path)
         assert argv[1] in err
 
-    @pytest.mark.parametrize("experiment", ["comparison", "cone", "avoided-crossing"])
+    @pytest.mark.parametrize("experiment", ["comparison", "cone"])
     @pytest.mark.parametrize("dt", ["0", "-1"])
     def test_nonpositive_dt(self, capsys, tmp_path, experiment, dt):
         # --dt 0 used to fall back to the default step
@@ -323,3 +322,46 @@ class TestArtifacts:
         text = read(tmp_path / "cone.report.txt").decode()
         assert "[references]" in text and "[checks]" in text
         assert "exact = 0.31191652" in text
+
+
+def _notes(path):
+    text = read(path).decode()
+    return text.split("[notes]\n")[1].splitlines() if "[notes]\n" in text else []
+
+
+class TestWarningNotes:
+    def test_each_suite_job_keeps_its_own_warnings(self, tmp_path, monkeypatch):
+        # jobs on two threads warn in turns; no job may lose a warning or
+        # take another's, and the command leaves the warnings state as it found it
+        names, n = ["cone", "isoperimetry", "ball-search"], 50
+
+        def stub(name):
+            def run(ns):
+                for i in range(n):
+                    warnings.warn(f"{name} {i}")
+                    time.sleep(1e-4)
+                return bounds.ExperimentReport(name=name, claim="stub")
+            return run
+
+        for name in names:
+            monkeypatch.setitem(cli.DISPATCH, name, stub(name))
+        monkeypatch.setattr(cli, "_SUITE_JOBS", [(name, name) for name in names])
+        filters, show = list(warnings.filters), warnings.showwarning
+        assert cli.main(["suite", "--quick", "--threads", "2", "--out", str(tmp_path)]) == 0
+        for name in names:
+            assert _notes(tmp_path / f"{name}.report.txt") == \
+                [f"warning: {name} {i}" for i in range(n)], name
+        assert warnings.filters == filters
+        assert warnings.showwarning is show
+
+    @pytest.mark.parametrize("argv, note", [
+        (["global-survival", "--model", "torus:3,3", "--grid", "16", "--steps", "16"],
+         "warning: grid h=0.0625 under-resolves wavelength 0.2357 (need >= 10 samples)"),
+        (["max-point", "--grid", "4", "--paths", "200", "--steps", "10"],
+         "warning: start point within one cell of the boundary; "
+         "the estimate is discretization dominated"),
+    ], ids=["global-survival", "max-point"])
+    def test_library_warning_in_report(self, tmp_path, argv, note):
+        cli.main(argv + ["--out", str(tmp_path)])
+        (report,) = tmp_path.glob("*.report.txt")
+        assert note in _notes(report)
