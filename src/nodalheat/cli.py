@@ -97,8 +97,8 @@ FLAGS = {
     "lam-geom": dict(type=float, default=100.0),
     "squares": dict(type=int, default=12),
     "margin": dict(type=int, default=3),
-    "r": dict(type=float, default=2.0),
-    "k": dict(type=int, default=2),
+    "r": dict(type=float, default=None, help="stopping radius, with --alpha (default 2)"),
+    "k": dict(type=int, default=None, help="vanishing order, without --alpha (default 2)"),
     "c1": dict(type=_positive(float), default=0.5),
     "quick": dict(action="store_true"),
     "threads": dict(type=_positive(int), default=1),
@@ -405,14 +405,15 @@ def run_avoided_crossing(ns) -> bounds.ExperimentReport:
 def run_cone(ns) -> bounds.ExperimentReport:
     cfg = _path_cfg(ns, 1e-3)
     if ns.alpha is not None:
-        spec = ConeSpec(alpha=ns.alpha, r=ns.r)
+        r = 2.0 if ns.r is None else ns.r
+        spec = ConeSpec(alpha=ns.alpha, r=r)
         exact = cone_exit_exact(spec)
         mc = cone_exit_mc(spec, cfg)
         allow = bounds.cone_bias_allowance(cfg.dt, cfg)
         rep = bounds.ExperimentReport(
             name="cone",
             claim="the closed-form cone exit law matches simulation",
-            inputs={"alpha": ns.alpha, "r": ns.r, "paths": ns.paths,
+            inputs={"alpha": ns.alpha, "r": r, "paths": ns.paths,
                     "dt": cfg.dt, "seed": ns.seed},
         )
         rep.constants.update({"mc": mc.mean, "mc_std_error": mc.std_error})
@@ -420,7 +421,7 @@ def run_cone(ns) -> bounds.ExperimentReport:
         rep.check("exit-law", abs(mc.mean - exact) <= 3 * mc.std_error + allow,
                   f"|{mc.mean:.5f} - {exact:.5f}| <= 3se + {allow:.4f}")
         return rep
-    return bounds.cone_condition_decay(ns.k, cfg)
+    return bounds.cone_condition_decay(2 if ns.k is None else ns.k, cfg)
 
 
 def run_isoperimetry(ns) -> bounds.ExperimentReport:
@@ -593,11 +594,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.config is None:
-        return ns
-    at = argv.index(ns.experiment) + 1
-    return parser.parse_args(argv[:at] + _config_args(parser, ns.config, ns.experiment)
-                             + argv[at:])
+    if ns.config is not None:
+        at = argv.index(ns.experiment) + 1
+        ns = parser.parse_args(argv[:at] + _config_args(parser, ns.config, ns.experiment)
+                               + argv[at:])
+    if ns.experiment == "cone":
+        # --alpha selects the exit-law check, which reads --r; without it
+        # cone runs the decay scan, which reads --k
+        unread, mode = ("k", "with") if ns.alpha is not None else ("r", "without")
+        if getattr(ns, unread) is not None:
+            parser.error(f"argument --{unread}: cone {mode} --alpha does not read it")
+    return ns
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,11 @@ the cell centers.  Each domain shape has one solver:
   couplings between runs, so the cost per step is O(cells) with no
   iteration tolerances anywhere.  The cells are gathered once per
   evolution and permuted between the x and y orders at each change of
-  axis.
+  axis.  A large vector is cut at run starts into one chunk per usable
+  CPU; each stage of half-steps on one axis runs its chunks on threads,
+  and LAPACK is called through scipy's Cython API by ctypes, which
+  releases the GIL.  A zero coupling makes a chunk's arithmetic that of
+  the whole vector, so the bytes do not depend on the CPU count.
 
 Dirichlet data is anchored at cell faces via ghost extrapolation
 (ghost = 2 g - u), so the absorbing wall sits exactly on the boundary of the
@@ -31,11 +35,15 @@ stair-step cell region rather than half a cell outside it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst, dstn, idstn
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg import cython_lapack
 
 from .errors import EmptyDomainError, InvalidParameterError, SolverError
 from .nodal import DomainMask, GridSpec, ScalarField
@@ -92,16 +100,47 @@ def _dirichlet_exponent(n: int, h: float, duration: float) -> np.ndarray:
     return -duration * (4 / h ** 2) * np.sin(np.pi * k / (2 * n)) ** 2
 
 
-def _pt_factor(d: np.ndarray, e: np.ndarray):
-    """LDL^T factors of the SPD tridiagonal with diagonal d and off-diagonal e.
+def _lapack(name: str, n_args: int):
+    """A LAPACK routine of scipy's Cython API as a ctypes function.
 
-    A one-cell system is its own factor (f2py's dpttrf rejects an empty e).
+    ctypes releases the GIL around a foreign call, so the chunks of a stage
+    solve on all cores at once; f2py's wrappers hold it.  Every argument is
+    passed by address.  The capsule functions get prototypes of their own
+    rather than argtypes set on the process-wide ctypes.pythonapi.
     """
-    if d.size == 1:
-        return d, e
-    d, e, info = dpttrf(d, e)
-    if info != 0:   # pragma: no cover - the matrix is diagonally dominant
-        raise SolverError(f"tridiagonal factorization failed for {d.size} cells: info {info}")
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+
+
+_dpttrf = _lapack("dpttrf", 4)     # (n, d, e, info)
+_dpttrs = _lapack("dpttrs", 7)     # (n, nrhs, d, e, b, ldb, info)
+
+
+def _check_lapack_args(d, e, *rhs):
+    """LAPACK reads these through raw pointers: d, e and every right-hand
+    side must be C-contiguous float64, e one shorter than d, and each rhs
+    whole rows of d.size cells."""
+    arrays = (d, e) + rhs
+    if (any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)
+            or e.size != d.size - 1 or any(b.size % d.size for b in rhs)):
+        raise ValueError("tridiagonal arguments must be C-contiguous float64 "
+                         "with len(e) == len(d) - 1 and whole rows of len(d)")
+
+
+def _pt_factor(d: np.ndarray, e: np.ndarray):
+    """LDL^T factors of the SPD tridiagonal with diagonal d and off-diagonal
+    e, both overwritten."""
+    _check_lapack_args(d, e)
+    n, info = ctypes.c_int(d.size), ctypes.c_int(0)
+    _dpttrf(ctypes.byref(n), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+    if info.value != 0:   # pragma: no cover - the matrix is diagonally dominant
+        raise SolverError(f"tridiagonal factorization failed for {d.size} cells: "
+                          f"info {info.value}")
     return d, e
 
 
@@ -116,20 +155,20 @@ def _cyclic_factor(n: int, theta: float):
 
 
 def _pt_solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored system for rhs (consumed): one vector, or every row.
-
-    When rhs.T is Fortran-contiguous (a contiguous vector, or whole rows of
-    a C array, as every caller passes) the solve runs in place and the
-    result is a view of rhs's memory.
-    """
+    """Solve the factored system in place for rhs, a C-contiguous vector or
+    stack of rows (each row one right-hand side), and return rhs."""
     d, e = factor
     if d.size == 1:
-        rhs /= d
+        rhs /= d    # dpttrs would scale by the reciprocal
         return rhs
-    sol, info = dpttrs(d, e, rhs.T, overwrite_b=True)
-    if info != 0:   # pragma: no cover
-        raise SolverError(f"tridiagonal solve failed: info {info}")
-    return sol.T
+    _check_lapack_args(d, e, rhs)
+    n, info = ctypes.c_int(d.size), ctypes.c_int(0)
+    nrhs = ctypes.c_int(rhs.size // d.size)
+    _dpttrs(ctypes.byref(n), ctypes.byref(nrhs), d.ctypes.data, e.ctypes.data,
+            rhs.ctypes.data, ctypes.byref(n), ctypes.byref(info))
+    if info.value != 0:   # pragma: no cover
+        raise SolverError(f"tridiagonal solve failed: info {info.value}")
+    return rhs
 
 
 def _explicit_cyclic(rows: np.ndarray, theta: float, out: np.ndarray):
@@ -172,37 +211,16 @@ def _solve_cyclic(rhs: np.ndarray, theta: float, factor):
     return y - np.outer(vy / (1 + vz), z)
 
 
-class _RunVector:
-    """The in-domain cells of one axis as one vector of runs.
-
-    lines holds the rows (x) or columns (y) of the mask, n cells each.  The
-    k full lines of a periodic axis come first, as k rings of n cells; then
-    every other maximal run of consecutive in-domain cells, coupled to
-    nothing outside itself.  A line of a periodic axis is read from its
-    first out-of-domain cell, so a run across the seam stays one run.
-    index is the flat index into the grid of each cell in this order;
-    first, last and single are the positions, in the tail after the k * n
-    ring cells, of each longer run's end cells and of the one-cell runs.
+class _Runs:
+    """k rings of n cells, then size - k * n cells in runs coupled to nothing
+    outside themselves.  first, last and single are the positions, in the
+    tail after the ring cells, of each longer run's end cells and of the
+    one-cell runs.  The methods act on this many cells of a vector.
     """
 
-    def __init__(self, lines: np.ndarray, periodic: bool, line_stride: int, cell_stride: int):
-        m, n = lines.shape
-        ring = lines.all(axis=1) if periodic else np.zeros(m, dtype=bool)
-        shift = np.argmin(lines, axis=1) if periodic else np.zeros(m, dtype=np.intp)
-        cells = (shift[:, None] + np.arange(n)) % n
-        li, j = np.nonzero(np.take_along_axis(lines, cells, axis=1) & ~ring[:, None])
-        rings = np.flatnonzero(ring)
-        self.k, self.n = rings.size, n
-        self.index = np.concatenate([
-            np.repeat(rings, n) * line_stride + np.tile(np.arange(n), rings.size) * cell_stride,
-            li * line_stride + cells[li, j] * cell_stride])
-        # a run starts at a new line or after a skipped cell
-        new = np.ones(li.size + 1, dtype=bool)
-        new[1:-1] = (li[1:] != li[:-1]) | (j[1:] != j[:-1] + 1)
-        start, end = new[:-1], new[1:]
-        self.first = np.flatnonzero(start & ~end)
-        self.last = np.flatnonzero(end & ~start)
-        self.single = np.flatnonzero(start & end)
+    def __init__(self, k: int, n: int, size: int, first, last, single):
+        self.k, self.n, self.size = k, n, size
+        self.first, self.last, self.single = first, last, single
 
     def factor(self, theta: float):
         """(ring factor, tail factor) of (I - theta L) at one step size.
@@ -212,7 +230,7 @@ class _RunVector:
         Rings of one or two cells, and an empty tail, take None.
         """
         ring = _cyclic_factor(self.n, theta) if self.k and self.n > 2 else None
-        m = self.index.size - self.k * self.n
+        m = self.size - self.k * self.n
         if not m:
             return ring, None
         d = np.full(m, 1 + 2 * theta)
@@ -260,6 +278,63 @@ class _RunVector:
             v[self.last] += 2 * theta * g
             v[self.single] += 4 * theta * g
             _pt_solve(tail, v)
+
+
+class _RunVector(_Runs):
+    """The in-domain cells of one axis as one vector of runs.
+
+    lines holds the rows (x) or columns (y) of the mask, n cells each.  The
+    k full lines of a periodic axis come first, as k rings of n cells; then
+    every other maximal run of consecutive in-domain cells.  A line of a
+    periodic axis is read from its first out-of-domain cell, so a run
+    across the seam stays one run.  index is the flat index into the grid
+    of each cell in this order.
+    """
+
+    def __init__(self, lines: np.ndarray, periodic: bool, line_stride: int, cell_stride: int):
+        m, n = lines.shape
+        ring = lines.all(axis=1) if periodic else np.zeros(m, dtype=bool)
+        shift = np.argmin(lines, axis=1) if periodic else np.zeros(m, dtype=np.intp)
+        cells = (shift[:, None] + np.arange(n)) % n
+        li, j = np.nonzero(np.take_along_axis(lines, cells, axis=1) & ~ring[:, None])
+        rings = np.flatnonzero(ring)
+        self.index = np.concatenate([
+            np.repeat(rings, n) * line_stride + np.tile(np.arange(n), rings.size) * cell_stride,
+            li * line_stride + cells[li, j] * cell_stride])
+        # a run starts at a new line or after a skipped cell
+        new = np.ones(li.size + 1, dtype=bool)
+        new[1:-1] = (li[1:] != li[:-1]) | (j[1:] != j[:-1] + 1)
+        start, end = new[:-1], new[1:]
+        super().__init__(rings.size, n, self.index.size, np.flatnonzero(start & ~end),
+                         np.flatnonzero(end & ~start), np.flatnonzero(start & end))
+
+    def split(self, parts: int):
+        """The vector cut into about `parts` equal chunks (a, b, runs), each
+        cut at the start of a ring or run nearest its share; a vector with
+        fewer starts gets fewer chunks, and none is empty.  Couplings between
+        runs are zero, so each chunk's factors, solves and explicit passes
+        are those of the whole vector on its cells, bit for bit."""
+        kn = self.k * self.n
+        starts = np.concatenate([np.arange(0, kn, self.n),
+                                 kn + np.union1d(self.first, self.single)])
+        share = np.arange(1, parts) * self.size / parts
+        right = np.minimum(np.searchsorted(starts, share), starts.size - 1)
+        left = np.maximum(right - 1, 0)
+        near = np.where(share - starts[left] <= starts[right] - share,
+                        starts[left], starts[right])
+        bounds = np.unique(np.concatenate([[0], near, [self.size]]))
+        return [self._chunk(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _chunk(self, a: int, b: int):
+        kn = self.k * self.n
+        t0, t1 = max(a - kn, 0), max(b - kn, 0)
+
+        def within(pos):
+            return pos[np.searchsorted(pos, t0):np.searchsorted(pos, t1)] - t0
+
+        k = (min(b, kn) - min(a, kn)) // self.n
+        return a, b, _Runs(k, self.n, b - a, within(self.first), within(self.last),
+                           within(self.single))
 
 
 class _AdiPlan:
@@ -341,14 +416,62 @@ class _AdiPlan:
         blk += g
 
 
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool():
+    """The pool on which ADI stages run all chunks but the first.  A forked
+    child gets a new one: it inherits the parent's pool without its worker
+    threads, and a task submitted there would never run."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=max(1, _CPUS - 1), thread_name_prefix="nodalheat-adi")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+# The smallest chunk worth a thread.  Ten Peaceman-Rachford steps on disks
+# of 16000-96000 cells, 2 vCPUs, median of 15: two chunks took 1.5x the
+# time of one at 16000 cells, broke even at 40000-48000 and won 1.2-1.3x
+# at 64000 and 1.35x at 96000.  Below that a stage's numpy calls are too
+# short to release the GIL for long, and the two threads queue for it.
+_MIN_CHUNK_CELLS = 1 << 15
+
+
+def _chunk_count(cells: int) -> int:
+    return max(1, min(_CPUS, cells // _MIN_CHUNK_CELLS))
+
+
+def _stages(startup_steps: int, steps: int, theta_be: float, theta: float):
+    """The half-steps of an evolution as stages: (axis, [(explicit, theta)])
+    for each run of consecutive half-steps on one axis.  Each startup step
+    is two implicit-Euler half-steps per axis at theta_be; then come the
+    Peaceman-Rachford steps at theta."""
+    half_steps = ([("x", False, theta_be), ("y", False, theta_be)] * (2 * startup_steps)
+                  + [("y", True, theta), ("x", False, theta),
+                     ("x", True, theta), ("y", False, theta)] * steps)
+    stages = []
+    for ax, explicit, th in half_steps:
+        if not stages or stages[-1][0] != ax:
+            stages.append((ax, []))
+        stages[-1][1].append((explicit, th))
+    return stages
+
+
 def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
-            n_steps: int, startup: bool = True):
+            n_steps: int, startup: bool = True, chunks: int | None = None):
     """Advance the masked heat equation by duration, mutating u2 in place.
 
     Rectangles take the exact propagator; n_steps and startup only shape
-    the ADI stepping of other masks, which runs on the plan's run vectors:
-    one gather, one permutation into ping-pong buffers at each change of
-    axis, one scatter.
+    the ADI stepping of other masks, which runs on the plan's run vectors
+    in stages, one per run of half-steps on one axis.  Each stage gathers
+    its axis's order from the previous stage's buffer (the first from u2),
+    then solves and applies the explicit passes; the last also scatters
+    back into u2.  A stage runs as run-aligned chunks of its vector, the
+    first on the calling thread and the others on _POOL, and waiting for
+    them all is the barrier before the next gather.  The bytes do not
+    depend on the chunk count: _chunk_count(cells) unless chunks is given.
     """
     if duration == 0 or n_steps == 0:
         return
@@ -358,32 +481,62 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
     dt = duration / n_steps
     h = plan.grid.h
     n_startup = min(2, n_steps) if startup else 0
-    theta_be = (dt / 2) / h ** 2
-    theta = dt / (2 * h ** 2)
-    # (axis, explicit, theta) per half-step: two implicit-Euler half-steps
-    # per startup step, then the Peaceman-Rachford steps
-    half_steps = ([("x", False, theta_be), ("y", False, theta_be)] * (2 * n_startup)
-                  + [("y", True, theta), ("x", False, theta),
-                     ("x", True, theta), ("y", False, theta)] * (n_steps - n_startup))
+    stages = _stages(n_startup, n_steps - n_startup, (dt / 2) / h ** 2, dt / (2 * h ** 2))
     u = u2.reshape(-1)
-    axis = half_steps[0][0]
-    w = u[plan.runs[axis].index]
-    spare = np.empty_like(w)
+    parts = chunks or _chunk_count(plan.runs["x"].size)
+    # three buffers: a stage gathers from one while its chunks write the
+    # other two, so no chunk overwrites cells another is still reading
+    bufs = [np.empty(plan.runs["x"].size) for _ in range(3)]
     to = {"x": plan.y_to_x, "y": plan.x_to_y}
-    factors = {}
-    for ax, explicit, th in half_steps:
-        if ax != axis:
-            # mode "raise", the default, would take into a temporary and copy
-            np.take(w, to[ax], out=spare, mode="clip")
-            w, spare, axis = spare, w, ax
+    splits = {ax: runs.split(parts) for ax, runs in plan.runs.items()}
+    # Every chunk is factored here, on the calling thread.  Blocks that a
+    # worker thread allocates stay resident in its malloc arena once freed:
+    # factoring inside the chunks' tasks raised the peak RSS of a 1024^2
+    # rectangle solve after a 512^2 ell curve by 3 MB, and did not change
+    # the ell curve's time (0.87-0.95 s either way, 2 vCPUs).
+    thetas = {th for _, ops in stages for _, th in ops}
+    factors = {ax: {(a, th): piece.factor(th) for a, _, piece in pieces for th in thetas}
+               for ax, pieces in splits.items()}
+    src = 2
+    for i, (ax, ops) in enumerate(stages):
+        runs = plan.runs[ax]
+        w, spare = (j for j in range(3) if j != src)
+        task = functools.partial(
+            _stage_chunk, ops, g, factors[ax], (u, runs.index) if i == 0 else (bufs[src], to[ax]),
+            bufs[w], bufs[spare], (u, runs.index) if i == len(stages) - 1 else None)
+        _run_chunks(task, splits[ax])
+        src = spare if sum(explicit for explicit, _ in ops) % 2 else w
+
+
+def _stage_chunk(ops, g, factors, gather, w, spare, scatter, chunk):
+    """One stage on the cells [a, b) of one chunk: gather them from
+    source[order], step them through ops in w (an explicit pass moves them
+    to spare and the two trade places) and, on the last stage, scatter them
+    to target[order].  factors maps (a, theta) to the chunk's factors."""
+    a, b, piece = chunk
+    source, order = gather
+    # mode "raise", the default, would take into a temporary and copy
+    np.take(source, order[a:b], out=w[a:b], mode="clip")
+    for explicit, th in ops:
         if explicit:
-            plan.runs[ax].explicit(w, th, g, spare)
+            piece.explicit(w[a:b], th, g, spare[a:b])
             w, spare = spare, w
         else:
-            if th not in factors:
-                factors[th] = {a: runs.factor(th) for a, runs in plan.runs.items()}
-            plan.runs[ax].solve(w, th, g, factors[th][ax])
-    u[plan.runs[axis].index] = w
+            piece.solve(w[a:b], th, g, factors[a, th])
+    if scatter is not None:
+        target, order = scatter
+        target[order[a:b]] = w[a:b]
+
+
+def _run_chunks(task, chunks):
+    """task on every chunk: the first on this thread, the rest on _POOL."""
+    futures = [_POOL.submit(task, chunk) for chunk in chunks[1:]]
+    try:
+        task(chunks[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _get_plan(mask: DomainMask, label: int) -> _AdiPlan:

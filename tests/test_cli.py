@@ -161,6 +161,9 @@ class TestExitCodes:
         ["heat-content", "--grid", "x"],
         ["avoided-crossing", "--dt", "1e-5"],
         ["avoided-crossing", "--no-bridge"],
+        # cone reads --r only with --alpha, and --k only without it
+        ["cone", "--r", "0.5"],
+        ["cone", "--k", "3", "--alpha", "1.5708"],
     ])
     def test_flag_not_read_or_malformed(self, capsys, tmp_path, argv):
         err = self._usage_error(capsys, argv, tmp_path)

@@ -1,4 +1,9 @@
 import hashlib
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +12,9 @@ from scipy.special import erfc
 import nodalheat as nh
 import nodalheat.bounds  # binds nh.bounds; the package does not import it
 from nodalheat.errors import InvalidParameterError, UnknownLabelError
+from nodalheat import heat
 from nodalheat.heat import (
+    _evolve,
     _get_plan,
     dirichlet_semigroup_field,
     domain_inradius_cached,
@@ -573,6 +580,88 @@ class TestBlockPlan:
         cell = plans["cell"].runs
         assert all(r.single.size == r.index.size == 1 for r in cell.values())
 
+    @staticmethod
+    def _two_legs(plan, chunks):
+        """float.hex of a startup leg then a Peaceman-Rachford leg."""
+        u = np.ones(plan.inmask.shape)
+        u[plan.inmask] = 0.0
+        _evolve(plan, u, 1.0, 1e-3, 12, chunks=chunks)
+        _evolve(plan, u, 1.0, 4e-4, 10, startup=False, chunks=chunks)
+        return " ".join(map(float.hex, u.ravel()))
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_chunk_count_invariance(self, cases, name):
+        # a stage's chunks run on different threads, but couplings between
+        # runs are zero, so the bytes must not depend on how many there are
+        plan = _get_plan(*cases[name])
+        assert max(len(r.split(5)) for r in plan.runs.values()) > 1 or plan.runs["x"].size == 1
+        assert len({self._two_legs(plan, chunks) for chunks in (1, 2, 3, 5)}) == 1
+
+    def test_concurrent_evolutions(self, cases):
+        # suite jobs evolve on several threads at once through one stage
+        # pool; with the interpreter switching threads every microsecond, no
+        # chunk may read or write cells of another evolution or stage
+        plan = _get_plan(*cases["comb"])
+        ref = self._two_legs(plan, 1)
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(self._two_legs(plan, 3)))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [ref] * len(threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_evolves(self, cases):
+        # a forked child inherits the stage pool without its worker thread;
+        # it must still run every chunk, not wait forever
+        plan = _get_plan(*cases["comb"])
+        ref = self._two_legs(plan, 3)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:    # pragma: no cover - the child reports through the pipe
+            try:
+                os.write(write, hashlib.sha256(self._two_legs(plan, 3).encode()).digest())
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's evolution did not finish in 60 s")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as fh:
+            assert fh.read() == hashlib.sha256(ref.encode()).digest()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_chunks_cut_at_run_starts(self, cases, name):
+        plan = _get_plan(*cases[name])
+        for runs in plan.runs.values():
+            kn = runs.k * runs.n
+            starts = set(range(0, kn, runs.n))
+            starts.update(kn + int(r) for r in np.cumsum([0] + [r.size for r in _runs(runs)]))
+            for parts in (1, 2, 3, 5):
+                chunks = runs.split(parts)
+                bounds = [a for a, _, _ in chunks] + [chunks[-1][1]]
+                assert bounds[0] == 0 and bounds[-1] == runs.size
+                assert all(b > a for a, b in zip(bounds[:-1], bounds[1:]))     # none empty
+                assert set(bounds[:-1]) <= starts
+                assert len(chunks) <= parts
+                # the chunks' runs, shifted back, are the whole vector's
+                assert sum(piece.k for _, _, piece in chunks) == runs.k
+                for attr in ("first", "last", "single"):
+                    shifted = [getattr(piece, attr) + max(a - kn, 0) for a, _, piece in chunks]
+                    assert np.array_equal(np.concatenate(shifted), getattr(runs, attr))
+
 
 def _runs(runs):
     """The flat cell indices of each run after a run vector's rings."""
@@ -581,3 +670,55 @@ def _runs(runs):
         return []
     ends = np.sort(np.concatenate([runs.last, runs.single]))
     return np.split(tail, ends[:-1] + 1)
+
+
+class TestAdiTimeStepping:
+    """ADI against the exact DST on the unit square, with rectangle detection
+    forced off: the gap is ADI's time-stepping error, and Crank-Nicolson
+    makes it fall fourfold per doubling of the step count.  At 64^2 the
+    semigroup field's relative max gap was 1.53e-4, 3.82e-5, 9.56e-6 and
+    2.39e-6 at 10-80 steps; the curve's largest relative content gap
+    5.93e-4, 1.48e-4, 3.70e-5 and 9.25e-6 at 16-128 steps."""
+
+    @pytest.fixture(scope="class")
+    def square(self):
+        model = nh.fields.make_rectangle_eigenfunction(1, 1, 1.0, 1.0)
+        grid = nh.nodal.grid_for_model(model, 64)
+
+        def mask():
+            return nh.label_nodal_domains(nh.nodal.sample_field(model, grid))
+
+        exact = mask()
+        label = nh.nodal.principal_label(exact, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heat._AdiPlan, "_detect_rectangle", staticmethod(lambda inmask, grid: None))
+            stepped = mask()
+            assert _get_plan(stepped, label).rect is None
+        assert _get_plan(exact, label).rect is not None
+        return model, exact, stepped, label
+
+    @staticmethod
+    def _assert_second_order(gaps):
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (gaps, ratios)
+
+    def test_semigroup_field(self, square):
+        model, exact, stepped, label = square
+        t = 1 / (4 * model.eigenvalue)
+        sel = exact.cells(label)
+        ref = dirichlet_semigroup_field(model, exact, label, t).values[sel]
+        gaps = [np.abs(dirichlet_semigroup_field(model, stepped, label, t, n_steps=n).values[sel]
+                       - ref).max() / np.abs(ref).max()
+                for n in (10, 20, 40, 80)]
+        assert gaps[0] < 1e-3
+        self._assert_second_order(gaps)
+
+    def test_content_curve(self, square):
+        _, exact, stepped, label = square
+        times = np.logspace(-4, -3, 6)
+        ref = heat_content_curve(exact, label, times).contents
+        gaps = [(np.abs(heat_content_curve(stepped, label, times, n_steps=n).contents - ref)
+                 / ref).max()
+                for n in (16, 32, 64, 128)]
+        assert gaps[0] < 1e-3
+        self._assert_second_order(gaps)
