@@ -462,11 +462,13 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
         grid = grid_for_model(model, grid_n)
         field = sample_field(model, grid)
         mask = label_nodal_domains(field)
-        xs, ys = grid.cell_center_mesh()
         contained = []
         min_halfwidth = np.inf
         for label in range(1, mask.n_labels + 1):
-            sel = mask.cells(label)
+            # the domain's cells from its box, not from a full-grid pass
+            box = mask.box(label)
+            xs, ys = grid.cell_center_mesh(box)
+            sel = mask.labels[box] == label
             dmax = float(_torus_segment_distance(xs[sel], ys[sel], tube.segment).max())
             min_halfwidth = min(min_halfwidth, dmax)
             if dmax <= a:

@@ -215,17 +215,22 @@ def compute_norms(model: EigenfunctionModel, mask, grid, label=None) -> NormBund
     """Midpoint-rule L1 and grid suprema of |u| and |grad u| over mask cells.
 
     With label=None all labeled cells count; otherwise only the given nodal
-    domain.  The mask must come from the same grid.
+    domain, and the model is evaluated on the cells of its bounding box
+    (mask.box) alone, so the cost is the domain's, not the grid's.  The box
+    keeps the raster order, so the sums and maxima see the values that a
+    full-grid selection gives, in the same order, and return the same
+    bytes.  The mask must come from the same grid.
     """
     if mask.grid != grid:
         raise InvalidParameterError("mask was built on a different grid")
     if label is None:
-        sel = mask.labels > 0
+        box, sel = None, mask.labels > 0
     else:
-        sel = mask.cells(label)
+        box = mask.box(label)
+        sel = mask.labels[box] == label
     if not sel.any():
         raise EmptyDomainError("mask selects no cells")
-    xs, ys = grid.cell_center_mesh()
+    xs, ys = grid.cell_center_mesh(box)
     x = xs[sel]
     y = ys[sel]
     u = model.evaluate(x, y)

@@ -337,8 +337,32 @@ class _RunVector(_Runs):
                            within(self.single))
 
 
+def _rectangle(box, cells: int, grid: GridSpec):
+    """(y0, y1, x0, x1) when a domain of this many cells fills its bounding
+    box, a (rows, columns) pair of slices, as a solid rectangle at least two
+    cells wide on each axis that does not wrap round a periodic axis into a
+    cylinder (that needs cyclic solves); else None.  Every cell lies in the
+    box, so a count equal to the box's area means the box is full."""
+    rows, cols = box
+    y0, y1, x0, x1 = rows.start, rows.stop, cols.start, cols.stop
+    if y1 - y0 < 2 or x1 - x0 < 2 or cells != (y1 - y0) * (x1 - x0):
+        return None
+    if (grid.periodic_x and x1 - x0 == grid.nx) or (grid.periodic_y and y1 - y0 == grid.ny):
+        return None
+    return (y0, y1, x0, x1)
+
+
+@functools.lru_cache(maxsize=256)
+def _ones_dst(n: int) -> np.ndarray:
+    """DST-II (ortho) of n ones, read-only: every rectangle side of n cells
+    shares it."""
+    s = dst(np.ones(n), type=2, norm="ortho")
+    s.flags.writeable = False
+    return s
+
+
 class _AdiPlan:
-    """Solver plan for one domain.
+    """Solver plan for one domain, the cells of labels equal to label.
 
     A solid axis-aligned rectangle of cells (rect = (y0, y1, x0, x1)) is
     served exactly in time on its bounding slice: heat contents through
@@ -349,17 +373,22 @@ class _AdiPlan:
     the permutations between the two orders (w_y = w_x[x_to_y]).  _evolve
     gathers the cells once, steps on the vectors and scatters them back
     once, so cells outside the domain are never touched and keep the
-    boundary value.
+    boundary value.  The full-grid inmask is built on first use, so a
+    rectangle whose contents alone are asked for never builds it.  The
+    plan holds the labels array, not the mask that caches it: a plan that
+    held its mask would make a reference cycle, and masks would wait for
+    the cyclic garbage collector.
     """
 
-    def __init__(self, inmask: np.ndarray, grid: GridSpec):
+    def __init__(self, labels: np.ndarray, label: int, grid: GridSpec, rect):
         self.grid = grid
-        self.inmask = inmask
-        self.rect = self._detect_rectangle(inmask, grid)
-        if self.rect is not None:
-            y0, y1, x0, x1 = self.rect
-            self.ones_dst = [dst(np.ones(n), type=2, norm="ortho") for n in (y1 - y0, x1 - x0)]
+        self.rect = rect
+        self._labels, self._label = labels, label
+        if rect is not None:
+            y0, y1, x0, x1 = rect
+            self.ones_dst = [_ones_dst(n) for n in (y1 - y0, x1 - x0)]
             return
+        inmask = self.inmask
         nx = inmask.shape[1]
         self.runs = {"x": _RunVector(inmask, grid.periodic_x, nx, 1),
                      "y": _RunVector(inmask.T, grid.periodic_y, 1, nx)}
@@ -370,21 +399,19 @@ class _AdiPlan:
         self.y_to_x = np.empty_like(self.x_to_y)
         self.y_to_x[self.x_to_y] = order
 
+    @functools.cached_property
+    def inmask(self) -> np.ndarray:
+        return self._labels == self._label
+
     @staticmethod
     def _detect_rectangle(inmask: np.ndarray, grid: GridSpec):
+        """_rectangle for the cells of a full-grid boolean mask."""
         ys = np.flatnonzero(inmask.any(axis=1))
         xs = np.flatnonzero(inmask.any(axis=0))
-        if ys.size < 2 or xs.size < 2:
+        if not ys.size:
             return None
-        y0, y1 = int(ys[0]), int(ys[-1]) + 1
-        x0, x1 = int(xs[0]), int(xs[-1]) + 1
-        if int(inmask.sum()) != (y1 - y0) * (x1 - x0) or not inmask[y0:y1, x0:x1].all():
-            return None
-        if grid.periodic_x and x1 - x0 == inmask.shape[1]:
-            return None     # wraps into a cylinder; needs cyclic solves
-        if grid.periodic_y and y1 - y0 == inmask.shape[0]:
-            return None
-        return (y0, y1, x0, x1)
+        box = (slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1))
+        return _rectangle(box, int(np.count_nonzero(inmask)), grid)
 
     # -- the hitting problem on a rectangle: two interval walks ---------------
 
@@ -546,10 +573,12 @@ def _get_plan(mask: DomainMask, label: int) -> _AdiPlan:
         mask._adi_plans = cache
     plan = cache.get(label)
     if plan is None:
-        sel = mask.cells(label)
-        if not sel.any():
+        box = mask.box(label)
+        grid = mask.grid
+        cells = int(round(float(mask.areas[label]) / grid.h ** 2))
+        if not cells:
             raise EmptyDomainError(f"label {label} has no cells")
-        plan = _AdiPlan(sel, mask.grid)
+        plan = _AdiPlan(mask.labels, label, grid, _rectangle(box, cells, grid))
         cache[label] = plan
     return plan
 

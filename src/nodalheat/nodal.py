@@ -83,9 +83,13 @@ class GridSpec:
     def ys(self) -> np.ndarray:
         return self.y0 + (np.arange(self.ny) + 0.5) * self.h
 
-    def cell_center_mesh(self):
-        """(X, Y) arrays of cell centers, shape (ny, nx)."""
-        return np.meshgrid(self.xs, self.ys)
+    def cell_center_mesh(self, box=None):
+        """(X, Y) arrays of cell centers, shape (ny, nx); with box, a (rows,
+        columns) pair of slices, those of its cells only."""
+        if box is None:
+            return np.meshgrid(self.xs, self.ys)
+        rows, cols = box
+        return np.meshgrid(self.xs[cols], self.ys[rows])
 
     def resolves_wavelength(self, lam: float) -> bool:
         if lam <= 0:
@@ -169,6 +173,19 @@ class DomainMask:
     def cells(self, label) -> np.ndarray:
         self._check(label)
         return self.labels == label
+
+    def box(self, label):
+        """(rows, columns) slices of the smallest box holding the domain's
+        cells, empty for a label without cells.  labels[box] == label is
+        the domain in the box, in the raster order of the full grid.  One
+        find_objects pass finds every label's box; they are kept on the
+        mask.  A domain across a periodic seam gets the box of its pieces
+        in the unwrapped grid."""
+        self._check(label)
+        boxes = getattr(self, "_boxes", None)
+        if boxes is None:
+            boxes = self._boxes = ndimage.find_objects(self.labels, max_label=self.n_labels)
+        return boxes[label - 1] or (slice(0, 0), slice(0, 0))
 
     def sign(self, label) -> int:
         self._check(label)

@@ -376,6 +376,21 @@ def halfplane_hitting_exact(d: float, t: float) -> float:
     return float(special.erfc(d / (2 * math.sqrt(t))))
 
 
+# exp(-q) is exactly 0.0 in float64 for q at or above this (the last nonzero
+# value is exp(-745.133...) = 5e-324)
+_EXP_NEG_ZERO = 746.0
+
+
+def _exp_neg(q: np.ndarray) -> np.ndarray:
+    """np.exp(-q), taken only where it can be nonzero: most bridge crossing
+    tests are far from a wall, where the exp would return 0.  Rounding is
+    symmetric in sign, so -(a b / dt) is (-a) b / dt to the bit."""
+    p = np.zeros(q.shape)
+    near = q < _EXP_NEG_ZERO
+    p[near] = np.exp(-q[near])
+    return p
+
+
 def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
     """Stopped flags of walks from 0 absorbed at lo < 0 < hi; a wall may be infinite."""
     n_steps, dt = _steps_for(t, cfg)
@@ -384,9 +399,9 @@ def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
         x0, x1 = prev[:, 0], new[:, 0]
         dead = (x1 >= hi) | (x1 <= lo)
         if u is not None:
-            p = np.exp(-np.maximum(hi - x0, 0.0) * np.maximum(hi - x1, 0.0) / dt)
+            p = _exp_neg(np.maximum(hi - x0, 0.0) * np.maximum(hi - x1, 0.0) / dt)
             if lo > -np.inf:
-                p_dn = np.exp(-np.maximum(x0 - lo, 0.0) * np.maximum(x1 - lo, 0.0) / dt)
+                p_dn = _exp_neg(np.maximum(x0 - lo, 0.0) * np.maximum(x1 - lo, 0.0) / dt)
                 p = p + p_dn - p * p_dn
             dead |= u[:, 0] < p
         return dead, None, new

@@ -171,9 +171,47 @@ class TestNorms:
         assert na.linf == pytest.approx(nb.linf, rel=1e-12)
         assert na.grad_linf == pytest.approx(nb.grad_linf, rel=1e-12)
 
+    def test_domain_norms_match_full_grid_selection(self):
+        # compute_norms(label=k) evaluates the model on the domain's box
+        # only; every norm must be, to the last bit, what the model on a
+        # full mesh selected by labels == k gives
+        for model, mask in _norm_masks():
+            grid = mask.grid
+            xs, ys = grid.cell_center_mesh()
+            for lab in range(1, mask.n_labels + 1):
+                sel = mask.cells(lab)
+                u = model.evaluate(xs[sel], ys[sel])
+                gx, gy = model.gradient(xs[sel], ys[sel])
+                ref = (float(np.sum(np.abs(u)) * grid.h ** 2), float(np.max(np.abs(u))),
+                       float(np.max(np.hypot(gx, gy))))
+                norms = nh.compute_norms(model, mask, grid, label=lab)
+                got = (norms.l1, norms.linf, norms.grad_linf)
+                assert list(map(float.hex, got)) == list(map(float.hex, ref)), (model, lab)
+
     def test_empty_mask_errors(self):
         m = nh.make_torus_eigenfunction(1, 1)
         grid = nh.grid_for_model(m, 64)
         mask = nh.label_nodal_domains(nh.sample_field(m, grid))
         with pytest.raises(Exception):
             nh.compute_norms(m, mask, grid, label=99)
+
+
+def _norm_masks():
+    """(model, mask) pairs whose domains sit anywhere in the grid: torus
+    cells, Dirichlet and disk modes (the disk's labels include the corner
+    pieces outside it), a cone, and an indicator band across a periodic
+    seam, whose box is the whole width."""
+    def sampled(model, n):
+        return model, nh.label_nodal_domains(nh.sample_field(model, nh.grid_for_model(model, n)))
+
+    cases = [sampled(nh.make_torus_eigenfunction(m, n), 256) for m, n in ((1, 1), (2, 3), (4, 4))]
+    cases.append(sampled(nh.make_rectangle_eigenfunction(3, 2, 1.0, 0.7), 160))
+    disk = sampled(nh.make_disk_eigenfunction(2, 1), 96)
+    assert disk[1].n_labels == 7     # three pieces of the disk, four corners outside it
+    cases.append(disk)
+    cases.append(sampled(nh.make_cone_model(3), 97))
+    grid = nh.GridSpec(nx=128, ny=128, periodic_x=True, periodic_y=True)
+    band = nh.label_nodal_domains(nh.indicator_field(grid, lambda x, y: (x < 0.2) | (x > 0.85)))
+    assert band.n_labels == 2 and band.box(1)[1] == slice(0, 128)
+    cases.append((nh.make_torus_eigenfunction(1, 2), band))
+    return cases

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import os
 import signal
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -354,6 +356,61 @@ def test_rectangle_inradius_from_extents():
     for mask, label in rects:
         assert domain_inradius_cached(mask, label).hex() == nh.domain_inradius(mask, label).hex()
 
+
+def test_plan_rectangle_rule_matches_full_grid_detection():
+    # _get_plan decides from a domain's box and cell count; the full-grid
+    # _detect_rectangle, which the benchmark's tracer calls, must give the
+    # same answer on every label
+    masks = [mask for mask, _ in _block_cases().values()]    # ell, disk, seam, cylinder, ...
+    model = nh.make_torus_eigenfunction(2, 3)
+    masks.append(nh.label_nodal_domains(nh.sample_field(model, nh.grid_for_model(model, 64))))
+    strips = [(slice(None), slice(5, 6)), (slice(7, 8), slice(None)), (slice(3, 4), slice(2, 19)),
+              (slice(None), slice(0, 2)), (slice(None), slice(22, 24))]
+    for px, py in ((False, False), (True, False), (False, True), (True, True)):
+        grid = nh.GridSpec(nx=24, ny=20, extent_x=1.2, extent_y=1.0, periodic_x=px, periodic_y=py)
+        for box in strips:
+            inside = np.zeros((20, 24), dtype=bool)
+            inside[box] = True
+            masks.append(nh.label_nodal_domains(nh.indicator_field(grid, inside)))
+        # a solid block cut by the x seam: one domain on a periodic grid
+        inside = np.zeros((20, 24), dtype=bool)
+        inside[4:12, :3] = inside[4:12, 21:] = True
+        masks.append(nh.label_nodal_domains(nh.indicator_field(grid, inside)))
+    answers = []
+    for mask in masks:
+        for label in range(1, mask.n_labels + 1):
+            rect = _get_plan(mask, label).rect
+            assert rect == heat._AdiPlan._detect_rectangle(mask.cells(label), mask.grid)
+            answers.append(rect is not None)
+    assert any(answers) and not all(answers)
+
+
+def test_mask_freed_by_reference_counting():
+    # plans hold the mask's labels array, not the mask that caches them: a
+    # mask whose boxes, norms and plans (rectangle and run-vector ones, with
+    # and without their inmask) were built must die on del with the cyclic
+    # collector off
+    model = nh.make_torus_eigenfunction(1, 1)
+    grid = nh.grid_for_model(model, 64)
+    ell_grid = nh.GridSpec(nx=48, ny=48)
+    gc.disable()
+    try:
+        refs = []
+        for mask in (nh.label_nodal_domains(nh.sample_field(model, grid)),
+                     nh.label_nodal_domains(nh.indicator_field(
+                         ell_grid, lambda x, y: (x < 0.5) | (y < 0.5)))):
+            for label in range(1, mask.n_labels + 1):
+                nh.compute_norms(model, mask, mask.grid, label=label)
+                heat_content(mask, label, 1e-3, n_steps=16)
+            solve_hitting_field(mask, 1, 1e-3, n_steps=16)
+            heat_content_curve(mask, 1, np.logspace(-4, -3, 4), n_steps=16)
+            assert mask._boxes and mask._adi_plans and mask._inradii
+            refs.append(weakref.ref(mask))
+            del mask
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
 class DstMode:
     """Product of sines that is an exact DST-II mode of the cell-centered grid."""
 
@@ -691,7 +748,7 @@ class TestAdiTimeStepping:
         exact = mask()
         label = nh.nodal.principal_label(exact, 1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heat._AdiPlan, "_detect_rectangle", staticmethod(lambda inmask, grid: None))
+            mp.setattr(heat, "_rectangle", lambda box, cells, grid: None)
             stepped = mask()
             assert _get_plan(stepped, label).rect is None
         assert _get_plan(exact, label).rect is not None
