@@ -23,6 +23,7 @@ from .nodal import (
     DomainMask,
     GridSpec,
     ScalarField,
+    _cell_index,
     _nodal_length,
     boundary_length,
     distance_to_boundary_map,
@@ -171,11 +172,9 @@ class CorridorSpec:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _interior_points(mask: DomainMask, label: int, count: int, seed: int,
+def _interior_points(dist: np.ndarray, grid: GridSpec, count: int, seed: int,
                      min_cells: float = 3.0):
-    """Deterministic sample of cell centers at least min_cells from the boundary."""
-    dist = distance_to_boundary_map(mask, label)
-    grid = mask.grid
+    """Deterministic sample of cell centers whose dist is min_cells cells or more."""
     ok = dist >= min_cells * grid.h
     iy, ix = np.nonzero(ok)
     if iy.size == 0:
@@ -227,11 +226,11 @@ def check_comparison_lemma(model: EigenfunctionModel, mask: DomainMask, label: i
     sup |grad u|; reports the measured gap constant
     C = max u(x) / (sqrt(t) sup|grad u|).
     """
-    if points is None:
-        points = _interior_points(mask, label, 10, cfg.seed)
     grid = mask.grid
-    norms = compute_norms(model, mask, grid, label=label)
     dist_map = distance_to_boundary_map(mask, label)
+    if points is None:
+        points = _interior_points(dist_map, grid, 10, cfg.seed)
+    norms = compute_norms(model, mask, grid, label=label)
 
     rep = ExperimentReport(
         name="comparison-lemma",
@@ -253,9 +252,7 @@ def check_comparison_lemma(model: EigenfunctionModel, mask: DomainMask, label: i
         gap = (xi.mean - fk.mean) * mask.sign(label)
         resid = abs(gap - hit.mean * u0)
         ident_worst = max(ident_worst, resid)
-        ix = int((x[0] - grid.x0) / h)
-        iy = int((x[1] - grid.y0) / h)
-        d_edt = float(dist_map[iy, ix])
+        d_edt = float(dist_map[_cell_index(grid, x[0], x[1])])
         c_here = u0 / (math.sqrt(t) * norms.grad_linf)
         c_measured = max(c_measured, c_here)
         rows.append((x[0], x[1], u0, hit.mean, gap, resid, d_edt, c_here))

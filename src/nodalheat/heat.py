@@ -46,7 +46,7 @@ from scipy.fft import dst, dstn, idstn
 from scipy.linalg import cython_lapack
 
 from .errors import EmptyDomainError, InvalidParameterError, SolverError
-from .nodal import DomainMask, GridSpec, ScalarField
+from .nodal import DomainMask, GridSpec, ScalarField, _solid_rectangle, domain_inradius
 
 __all__ = [
     "SurvivalField",
@@ -337,21 +337,6 @@ class _RunVector(_Runs):
                            within(self.single))
 
 
-def _rectangle(box, cells: int, grid: GridSpec):
-    """(y0, y1, x0, x1) when a domain of this many cells fills its bounding
-    box, a (rows, columns) pair of slices, as a solid rectangle at least two
-    cells wide on each axis that does not wrap round a periodic axis into a
-    cylinder (that needs cyclic solves); else None.  Every cell lies in the
-    box, so a count equal to the box's area means the box is full."""
-    rows, cols = box
-    y0, y1, x0, x1 = rows.start, rows.stop, cols.start, cols.stop
-    if y1 - y0 < 2 or x1 - x0 < 2 or cells != (y1 - y0) * (x1 - x0):
-        return None
-    if (grid.periodic_x and x1 - x0 == grid.nx) or (grid.periodic_y and y1 - y0 == grid.ny):
-        return None
-    return (y0, y1, x0, x1)
-
-
 @functools.lru_cache(maxsize=256)
 def _ones_dst(n: int) -> np.ndarray:
     """DST-II (ortho) of n ones, read-only: every rectangle side of n cells
@@ -364,18 +349,19 @@ def _ones_dst(n: int) -> np.ndarray:
 class _AdiPlan:
     """Solver plan for one domain, the cells of labels equal to label.
 
-    A solid axis-aligned rectangle of cells (rect = (y0, y1, x0, x1)) is
-    served exactly in time on its bounding slice: heat contents through
-    the two 1-D factors of the hitting problem, fields through the 2-D
-    DST.  ones_dst holds s = DST-II (ortho) of ones on the y and on the x
-    axis's cells.  Any other mask is held, per axis, as one _RunVector of
-    its in-domain cells (rows for x, columns for y); x_to_y and y_to_x are
-    the permutations between the two orders (w_y = w_x[x_to_y]).  _evolve
+    rect is the mask's DomainMask.rect.  A solid axis-aligned rectangle of
+    cells (rect = (y0, y1, x0, x1)) is served exactly in time on its
+    bounding slice: heat contents through the two 1-D factors of the
+    hitting problem, fields through the 2-D DST.  ones_dst holds s =
+    DST-II (ortho) of ones on the y and on the x axis's cells.  Any other
+    mask (rect None) is held, per axis, as one _RunVector of its in-domain
+    cells (rows for x, columns for y); x_to_y and y_to_x are the
+    permutations between the two orders (w_y = w_x[x_to_y]).  _evolve
     gathers the cells once, steps on the vectors and scatters them back
     once, so cells outside the domain are never touched and keep the
     boundary value.  The full-grid inmask is built on first use, so a
     rectangle whose contents alone are asked for never builds it.  The
-    plan holds the labels array, not the mask that caches it: a plan that
+    plan holds the labels array, not the mask that keeps it: a plan that
     held its mask would make a reference cycle, and masks would wait for
     the cyclic garbage collector.
     """
@@ -405,13 +391,13 @@ class _AdiPlan:
 
     @staticmethod
     def _detect_rectangle(inmask: np.ndarray, grid: GridSpec):
-        """_rectangle for the cells of a full-grid boolean mask."""
+        """DomainMask.rect for the cells of a full-grid boolean mask."""
         ys = np.flatnonzero(inmask.any(axis=1))
         xs = np.flatnonzero(inmask.any(axis=0))
         if not ys.size:
             return None
         box = (slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1))
-        return _rectangle(box, int(np.count_nonzero(inmask)), grid)
+        return _solid_rectangle(box, int(np.count_nonzero(inmask)), grid)
 
     # -- the hitting problem on a rectangle: two interval walks ---------------
 
@@ -567,19 +553,12 @@ def _run_chunks(task, chunks):
 
 
 def _get_plan(mask: DomainMask, label: int) -> _AdiPlan:
-    cache = getattr(mask, "_adi_plans", None)
-    if cache is None:
-        cache = {}
-        mask._adi_plans = cache
-    plan = cache.get(label)
+    plan = mask._adi_plans.get(label)
     if plan is None:
-        box = mask.box(label)
-        grid = mask.grid
-        cells = int(round(float(mask.areas[label]) / grid.h ** 2))
-        if not cells:
+        rect = mask.rect(label)
+        if not mask.areas[label]:
             raise EmptyDomainError(f"label {label} has no cells")
-        plan = _AdiPlan(mask.labels, label, grid, _rectangle(box, cells, grid))
-        cache[label] = plan
+        plan = mask._adi_plans[label] = _AdiPlan(mask.labels, label, mask.grid, rect)
     return plan
 
 
@@ -602,10 +581,7 @@ def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 1
     substochastic, so the exact field lies in [0, 1] and the clip takes
     rounding only.
     """
-    return _hitting_field(_hitting_plan(mask, label, t, n_steps), label, t, n_steps)
-
-
-def _hitting_field(plan: _AdiPlan, label: int, t: float, n_steps: int) -> SurvivalField:
+    plan = _hitting_plan(mask, label, t, n_steps)
     grid = plan.grid
     sel = plan.inmask
     vals = np.ones((grid.ny, grid.nx))
@@ -624,11 +600,25 @@ def heat_content(mask: DomainMask, label: int, t: float, n_steps: int = 128) -> 
     """Area-weighted integral of p_t over the domain (n_steps as in
     solve_hitting_field).  On a rectangle it is the product form of the
     two axes' lost masses, exact in time, with no field and no clip."""
-    plan = _hitting_plan(mask, label, t, n_steps)
+    return float(_contents(_hitting_plan(mask, label, t, n_steps), [t], n_steps)[0])
+
+
+def _contents(plan: _AdiPlan, times, n_steps: int) -> np.ndarray:
+    """Heat content at each ascending time, as heat_content_curve describes."""
     if plan.rect is not None:
-        return plan.hitting_content(t)
-    fld = _hitting_field(plan, label, t, n_steps)
-    return float(fld.values[plan.inmask].sum() * mask.grid.h ** 2)
+        return np.array([plan.hitting_content(t) for t in times])
+    grid = plan.grid
+    sel = plan.inmask
+    n_leg = max(10, n_steps // 4)
+    vals = np.ones((grid.ny, grid.nx))
+    vals[sel] = 0.0
+    contents = np.empty(len(times))
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        _evolve(plan, vals, 1.0, t - t_prev, n_steps if i == 0 else n_leg, startup=(i == 0))
+        contents[i] = np.clip(vals[sel], 0.0, 1.0).sum() * grid.h ** 2
+        t_prev = t
+    return contents
 
 
 def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128) -> HeatContentCurve:
@@ -653,28 +643,12 @@ def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128)
         raise InvalidParameterError("times must be positive")
     if times[-1] / times[0] < 10 * (1 - 1e-9):
         raise InvalidParameterError("time list must span at least one decade")
-    rho = domain_inradius_cached(mask, label)
+    plan = _get_plan(mask, label)
+    rho = domain_inradius(mask, label)
     if times[-1] > rho ** 2 * (1 + 1e-9):
         raise InvalidParameterError(
             f"largest time {times[-1]:.3g} exceeds inradius^2 = {rho ** 2:.3g}")
-
-    plan = _get_plan(mask, label)
-    if plan.rect is not None:
-        contents = np.array([plan.hitting_content(t) for t in times])
-    else:
-        grid = mask.grid
-        sel = plan.inmask
-        cell_area = grid.h ** 2
-        n_leg = max(10, n_steps // 4)
-        vals = np.ones((grid.ny, grid.nx))
-        vals[sel] = 0.0
-        contents = np.empty(times.size)
-        t_prev = 0.0
-        for i, t in enumerate(times):
-            _evolve(plan, vals, 1.0, t - t_prev,
-                    n_steps if i == 0 else n_leg, startup=(i == 0))
-            contents[i] = np.clip(vals[sel], 0.0, 1.0).sum() * cell_area
-            t_prev = t
+    contents = _contents(plan, times, n_steps)
 
     sqrt_t = np.sqrt(times)
     slope = float(contents.sum() / sqrt_t.sum())    # weighted LS, w = 1/sqrt(t)
@@ -683,27 +657,6 @@ def heat_content_curve(mask: DomainMask, label: int, t_list, n_steps: int = 128)
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
     return HeatContentCurve(times=times, contents=contents, slope=slope,
                             r_squared=r2, running_slopes=contents / sqrt_t)
-
-
-def domain_inradius_cached(mask: DomainMask, label: int) -> float:
-    """nodal.domain_inradius, kept on the mask.  A rectangle's comes from
-    its extents, the value the EDT gives: its deepest cell lies
-    (min(ny, nx) + 1) // 2 cells from the nearest outside cell, and a
-    rectangle is at least two cells wide, so the EDT's floor of half a
-    cell never binds."""
-    cache = getattr(mask, "_inradii", None)
-    if cache is None:
-        cache = {}
-        mask._inradii = cache
-    if label not in cache:
-        rect = _get_plan(mask, label).rect
-        if rect is None:
-            from .nodal import domain_inradius
-            cache[label] = domain_inradius(mask, label)
-        else:
-            y0, y1, x0, x1 = rect
-            cache[label] = ((min(y1 - y0, x1 - x0) + 1) // 2 - 0.5) * mask.grid.h
-    return cache[label]
 
 
 def dirichlet_semigroup_field(model, mask: DomainMask, label: int, t: float,

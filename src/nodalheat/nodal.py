@@ -10,7 +10,7 @@ decides Brownian-path absorption in the stochastic module.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -156,6 +156,10 @@ class DomainMask:
     in raster order of each domain's first cell.  signs[k] is the sign of
     domain k, areas[k] its cell-count area.  field_values keeps the samples
     the mask was derived from so downstream consumers share one geometry.
+
+    The private fields are what the modules derive from the mask, each
+    built on first use and kept for the mask's life.  The mask decides a
+    domain's shape (box, rect), which the solver and the inradius read.
     """
 
     grid: GridSpec
@@ -165,6 +169,16 @@ class DomainMask:
     field_values: np.ndarray
     n_labels: int
     zero_cells: int = 0
+    # find_objects boxes, one per label (None for a label without cells)
+    _boxes: list = field(default=None, init=False, repr=False, compare=False)
+    # boundary_length of every label for the mask's own samples
+    _boundary_table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    # _ghost_table of field_values, shared by every walk and start check
+    _interp_table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    # label -> domain_inradius
+    _inradii: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # label -> heat._AdiPlan, the domain's solver plan
+    _adi_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _check(self, label):
         if not (isinstance(label, (int, np.integer)) and 1 <= label <= self.n_labels):
@@ -178,14 +192,19 @@ class DomainMask:
         """(rows, columns) slices of the smallest box holding the domain's
         cells, empty for a label without cells.  labels[box] == label is
         the domain in the box, in the raster order of the full grid.  One
-        find_objects pass finds every label's box; they are kept on the
-        mask.  A domain across a periodic seam gets the box of its pieces
-        in the unwrapped grid."""
+        find_objects pass finds every label's box.  A domain across a
+        periodic seam gets the box of its pieces in the unwrapped grid."""
         self._check(label)
-        boxes = getattr(self, "_boxes", None)
-        if boxes is None:
-            boxes = self._boxes = ndimage.find_objects(self.labels, max_label=self.n_labels)
-        return boxes[label - 1] or (slice(0, 0), slice(0, 0))
+        if self._boxes is None:
+            self._boxes = ndimage.find_objects(self.labels, max_label=self.n_labels)
+        return self._boxes[label - 1] or (slice(0, 0), slice(0, 0))
+
+    def rect(self, label):
+        """(y0, y1, x0, x1) when the domain is a solid axis-aligned rectangle
+        of cells (see _solid_rectangle), else None; from its box and cell count."""
+        box = self.box(label)
+        cells = int(round(float(self.areas[label]) / self.grid.h ** 2))
+        return _solid_rectangle(box, cells, self.grid)
 
     def sign(self, label) -> int:
         self._check(label)
@@ -194,6 +213,21 @@ class DomainMask:
     def area(self, label) -> float:
         self._check(label)
         return float(self.areas[label])
+
+
+def _solid_rectangle(box, cells: int, grid: GridSpec):
+    """(y0, y1, x0, x1) when a domain of this many cells fills its bounding
+    box, a (rows, columns) pair of slices, as a solid rectangle at least two
+    cells wide on each axis that does not wrap round a periodic axis into a
+    cylinder (that needs cyclic solves); else None.  Every cell lies in the
+    box, so a count equal to the box's area means the box is full."""
+    rows, cols = box
+    y0, y1, x0, x1 = rows.start, rows.stop, cols.start, cols.stop
+    if y1 - y0 < 2 or x1 - x0 < 2 or cells != (y1 - y0) * (x1 - x0):
+        return None
+    if (grid.periodic_x and x1 - x0 == grid.nx) or (grid.periodic_y and y1 - y0 == grid.ny):
+        return None
+    return (y0, y1, x0, x1)
 
 
 def sample_field(model, grid: GridSpec) -> ScalarField:
@@ -601,9 +635,21 @@ def distance_to_boundary_map(mask: DomainMask, label: int) -> np.ndarray:
 
 
 def domain_inradius(mask: DomainMask, label: int) -> float:
-    """Largest inscribed-disk radius of a domain, accurate to +- h."""
-    dist = distance_to_boundary_map(mask, label)
-    return float(dist.max())
+    """Largest inscribed-disk radius of a domain, accurate to +- h: the
+    maximum of distance_to_boundary_map, kept on the mask.  A rectangle's
+    deepest cell lies (min(ny, nx) + 1) // 2 cells from the nearest outside
+    cell, and at two cells wide or more the EDT's half-cell floor never
+    binds, so its extents give the EDT's value with no EDT."""
+    radius = mask._inradii.get(label)
+    if radius is None:
+        rect = mask.rect(label)
+        if rect is None:
+            radius = float(distance_to_boundary_map(mask, label).max())
+        else:
+            y0, y1, x0, x1 = rect
+            radius = ((min(y1 - y0, x1 - x0) + 1) // 2 - 0.5) * mask.grid.h
+        mask._inradii[label] = radius
+    return radius
 
 
 def principal_label(mask: DomainMask, sign: int = 1) -> int:
@@ -614,18 +660,23 @@ def principal_label(mask: DomainMask, sign: int = 1) -> int:
     raise UnknownLabelError(f"no domain of sign {sign}")
 
 
+def _cell_index(grid: GridSpec, x: float, y: float):
+    """(iy, ix) of the cell holding (x, y): the floor of its cell
+    coordinates, wrapped on a periodic axis and clipped to the grid on a
+    walled one."""
+    ix, iy = int(np.floor((x - grid.x0) / grid.h)), int(np.floor((y - grid.y0) / grid.h))
+    return (iy % grid.ny if grid.periodic_y else min(max(iy, 0), grid.ny - 1),
+            ix % grid.nx if grid.periodic_x else min(max(ix, 0), grid.nx - 1))
+
+
 def label_at(mask: DomainMask, x: float, y: float) -> int:
-    """Label of the cell containing (x, y); 0 if outside every domain."""
+    """Label of the cell containing (x, y), periodic axes wrapped; 0 if
+    outside every domain, as is a point beyond a wall."""
     grid = mask.grid
-    ix = int(np.floor((x - grid.x0) / grid.h))
-    iy = int(np.floor((y - grid.y0) / grid.h))
-    if grid.periodic_x:
-        ix %= grid.nx
-    if grid.periodic_y:
-        iy %= grid.ny
-    if not (0 <= ix < grid.nx and 0 <= iy < grid.ny):
+    if not ((grid.periodic_x or 0 <= x - grid.x0 < grid.extent_x)
+            and (grid.periodic_y or 0 <= y - grid.y0 < grid.extent_y)):
         return 0
-    return int(mask.labels[iy, ix])
+    return int(mask.labels[_cell_index(grid, x, y)])
 
 
 def _boundary_lengths(values: np.ndarray, mask: DomainMask) -> np.ndarray:
@@ -678,20 +729,18 @@ def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = No
     non-periodic axes, the outer grid walls backing its cells (absorption
     happens there for Dirichlet models).  One contour gives the length of
     every label: for the mask's own samples (field None or equal to them)
-    the table is built once and kept on the mask, as heat keeps its ADI
-    plans; any other field is contoured afresh and leaves it untouched.
+    the table is built once and kept on the mask; any other field is
+    contoured afresh and leaves it untouched.
     """
     mask._check(label)
     values = mask.field_values if field is None else field.values
     if values.shape != mask.labels.shape:
         raise InvalidParameterError("field does not match the mask grid")
-    own = field is None or np.array_equal(values, mask.field_values)
-    table = getattr(mask, "_boundary_table", None) if own else None
-    if table is None:
-        table = _boundary_lengths(values, mask)
-        if own:
-            mask._boundary_table = table
-    return float(table[label])
+    if field is not None and not np.array_equal(values, mask.field_values):
+        return float(_boundary_lengths(values, mask)[label])
+    if mask._boundary_table is None:
+        mask._boundary_table = _boundary_lengths(values, mask)
+    return float(mask._boundary_table[label])
 
 
 # ---------------------------------------------------------------------------

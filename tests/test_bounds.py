@@ -60,6 +60,19 @@ class TestComparisonLemma:
         with pytest.warns(ResolutionWarning, match="within one cell"):
             check_comparison_lemma(torus11, mask, 1, [(0.25, 0.5 * grid.h)], t, cfg)
 
+    def test_start_across_periodic_seam(self, torus11):
+        # a start one period away lies in the same cell: the walks accept it
+        # and the comparison reads its boundary distance from that cell
+        field = nh.sample_field(torus11, nh.grid_for_model(torus11, 64))
+        mask = nh.label_nodal_domains(field)
+        t = 1 / LAM11
+        cfg = PathEnsembleConfig(n_paths=200, dt=t / 150, seed=1)
+        assert nh.nodal.label_at(mask, 1.25, 0.25) == 1
+        nh.estimate_hitting_probability(mask, 1, (1.25, 0.25), t, cfg)
+        rows = check_comparison_lemma(torus11, mask, 1, [(0.25, 0.25), (1.25, 0.25)], t,
+                                      cfg).curves["points"]
+        assert rows[1, 6] == rows[0, 6] > 0
+
 
 class TestTheorem1:
     def test_torus11_numbers(self, torus11):

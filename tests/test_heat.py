@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import os
@@ -19,7 +20,6 @@ from nodalheat.heat import (
     _evolve,
     _get_plan,
     dirichlet_semigroup_field,
-    domain_inradius_cached,
     heat_content,
     heat_content_curve,
     solve_hitting_field,
@@ -354,7 +354,8 @@ def test_rectangle_inradius_from_extents():
     rects = _inradius_rects()
     assert len(rects) >= 100
     for mask, label in rects:
-        assert domain_inradius_cached(mask, label).hex() == nh.domain_inradius(mask, label).hex()
+        edt = float(nh.nodal.distance_to_boundary_map(mask, label).max())
+        assert nh.domain_inradius(mask, label).hex() == edt.hex()
 
 
 def test_plan_rectangle_rule_matches_full_grid_detection():
@@ -410,6 +411,31 @@ def test_mask_freed_by_reference_counting():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_mask_keeps_only_declared_state():
+    # what the modules keep on a mask is DomainMask's declared fields and
+    # nothing else, after every consumer of them has run
+    model = nh.make_torus_eigenfunction(1, 1)
+    cfg = nh.PathEnsembleConfig(n_paths=100, dt=1e-5, seed=0)
+    ell_grid = nh.GridSpec(nx=48, ny=48)
+    declared = {f.name for f in dataclasses.fields(nh.DomainMask)}
+    for mask in (nh.label_nodal_domains(nh.sample_field(model, nh.grid_for_model(model, 64))),
+                 nh.label_nodal_domains(nh.indicator_field(
+                     ell_grid, lambda x, y: (x < 0.5) | (y < 0.5)))):
+        for label in range(1, mask.n_labels + 1):
+            heat_content_curve(mask, label, np.logspace(-4, -3, 4), n_steps=16)
+            heat_content(mask, label, 1e-3, n_steps=16)
+            nh.boundary_length(mask, label)
+            nh.domain_inradius(mask, label)
+            nh.compute_norms(model, mask, mask.grid, label=label)
+        solve_hitting_field(mask, 1, 1e-3, n_steps=16)
+        dirichlet_semigroup_field(model, mask, 1, 1e-3, n_steps=16)
+        nh.estimate_hitting_probability(mask, 1, (0.25, 0.25), 1e-3, cfg)
+        assert mask._boxes and mask._adi_plans and mask._inradii
+        assert mask._boundary_table is not None and mask._interp_table is not None
+        assert set(vars(mask)) <= declared
+
 
 class DstMode:
     """Product of sines that is an exact DST-II mode of the cell-centered grid."""
@@ -748,7 +774,7 @@ class TestAdiTimeStepping:
         exact = mask()
         label = nh.nodal.principal_label(exact, 1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heat, "_rectangle", lambda box, cells, grid: None)
+            mp.setattr(nh.DomainMask, "rect", lambda self, label: None)
             stepped = mask()
             assert _get_plan(stepped, label).rect is None
         assert _get_plan(exact, label).rect is not None

@@ -205,6 +205,30 @@ class TestGeometry:
         mask = nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 128)))
         assert nh.domain_inradius(mask, 1) == pytest.approx(0.5, abs=mask.grid.h)
 
+    def test_inradius_edt_once_per_non_rectangle(self, monkeypatch):
+        # a rectangle's inradius takes no EDT; any other domain's takes one,
+        # however often it is asked for
+        calls = []
+        edt = nh.nodal.distance_to_boundary_map
+        monkeypatch.setattr(nh.nodal, "distance_to_boundary_map",
+                            lambda mask, label: calls.append((id(mask), label))
+                            or edt(mask, label))
+        m = nh.make_torus_eigenfunction(1, 1)
+        grid = nh.GridSpec(nx=48, ny=48)
+        # four sign squares; an ell (label 1) and the square it leaves; the
+        # outside (label 1) and the inside of a disk
+        torus, ell, disk = masks = [
+            nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 64))),
+            nh.label_nodal_domains(nh.indicator_field(grid, lambda x, y: (x < 0.5) | (y < 0.5))),
+            nh.label_nodal_domains(nh.indicator_field(
+                grid, lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1))]
+        assert [mask.n_labels for mask in masks] == [4, 2, 2]
+        labels = [(mask, k) for mask in masks for k in range(1, mask.n_labels + 1)]
+        first = [nh.domain_inradius(mask, k) for mask, k in labels]
+        again = [nh.domain_inradius(mask, k) for mask, k in labels]
+        assert first == again
+        assert calls == [(id(ell), 1), (id(disk), 1), (id(disk), 2)]
+
     def test_boundary_lengths(self, torus11_mask_256):
         field, mask = torus11_mask_256
         assert nh.boundary_length(mask, 1, field) == pytest.approx(2.0, abs=0.02)
@@ -390,7 +414,7 @@ class TestBoundaryTable:
         other = nh.ScalarField(grid=field.grid, values=field.values + 0.25)
         # a table built from other values is not kept
         nh.boundary_length(mask, 2, other)
-        assert not hasattr(mask, "_boundary_table")
+        assert mask._boundary_table is None
         own = nh.boundary_length(mask, 2)
         table = mask._boundary_table
         kept = table.copy()
