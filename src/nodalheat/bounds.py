@@ -16,8 +16,7 @@ import numpy as np
 from scipy import special
 
 from .errors import EmptyDomainError, InvalidParameterError
-from .fields import EigenfunctionModel, compute_norms, make_cone_model, \
-    make_rectangle_eigenfunction
+from .fields import EigenfunctionModel, compute_norms, make_rectangle_eigenfunction
 from .heat import heat_content, heat_content_curve, solve_hitting_field
 from .nodal import (
     DomainMask,
@@ -83,7 +82,7 @@ class CheckResult:
     detail: str
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentReport:
     """Measured constants, recomputed references and tolerance verdicts."""
 
@@ -133,9 +132,10 @@ def cone_bias_allowance(dt: float, cfg: PathEnsembleConfig) -> float:
 
 @dataclass(frozen=True)
 class TubeSpec:
-    """Straight torus geodesic segment with a tube of the given half width."""
+    """Straight segment with a tube of the given half width; distances to it
+    wrap around the periodic axes of the model's grid (a torus geodesic)."""
 
-    segment: tuple                        # ((x0, y0), (x1, y1)) on the unit torus
+    segment: tuple                        # ((x0, y0), (x1, y1)) in model coordinates
     half_width: float
 
     def __post_init__(self):
@@ -186,14 +186,17 @@ def _interior_points(dist: np.ndarray, grid: GridSpec, count: int, seed: int,
     return [(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
-def _torus_segment_distance(px, py, seg):
-    """Distance from points to a segment on the unit torus (min over wraps)."""
+def _segment_distance(px, py, seg, grid: GridSpec):
+    """Distance from points to a segment, the minimum over the points'
+    copies one period away along each periodic axis of the grid."""
     (ax, ay), (bx, by) = seg
     dx, dy = bx - ax, by - ay
     seg_len2 = dx * dx + dy * dy
     best = np.full(np.shape(px), np.inf)
-    for sx in (-1.0, 0.0, 1.0):
-        for sy in (-1.0, 0.0, 1.0):
+    shifts_x, shifts_y = ((-e, 0.0, e) if periodic else (0.0,) for periodic, e in
+                          ((grid.periodic_x, grid.extent_x), (grid.periodic_y, grid.extent_y)))
+    for sx in shifts_x:
+        for sy in shifts_y:
             qx = px + sx - ax
             qy = py + sy - ay
             if seg_len2 > 0:
@@ -466,7 +469,7 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
             box = mask.box(label)
             xs, ys = grid.cell_center_mesh(box)
             sel = mask.labels[box] == label
-            dmax = float(_torus_segment_distance(xs[sel], ys[sel], tube.segment).max())
+            dmax = float(_segment_distance(xs[sel], ys[sel], tube.segment, grid).max())
             min_halfwidth = min(min_halfwidth, dmax)
             if dmax <= a:
                 contained.append(label)
@@ -586,11 +589,8 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
         jb = np.floor((end_s[:, 0] - x_cov0) / w).astype(np.int64)
         val = np.where((jb >= 0) & (jb < n_cov), sups[np.clip(jb, 0, n_cov - 1)],
                        sup_global)
-        samples = wgt_s * val
-        rhs_mean = float(samples.mean())
-        rhs_se = float(samples.std(ddof=1) / math.sqrt(n))
-        lhs = decay_honest * sups[i]
-        diamond_rows.append((i, lhs, rhs_mean, rhs_se))
+        rhs = McEstimate.from_samples(wgt_s * val)
+        diamond_rows.append((i, decay_honest * sups[i], rhs.mean, rhs.std_error))
 
     # Gaussian fit of pooled transitions
     deltas = np.array(sorted(d for d in pooled_disp if abs(d) <= 3))
@@ -689,9 +689,7 @@ def _wedge_fk_survival(k_order: int, s: float, t: float, cfg: PathEnsembleConfig
     """Killed-evolution value and survival from (s, 0) in the sector W(pi/k)."""
     # the horizon scales with the apex distance, so the step must too;
     # cfg.dt only sizes the bias allowance of the cone checks
-    n_steps, dt = _steps_for(t, replace(cfg, dt=t / 500))
-    killed, end = _wedge_walk(s, cfg.n_paths, math.pi / (2 * k_order), n_steps, dt,
-                              cfg.seed, _STREAMS["wedge"], cfg.bridge_correction)
+    killed, end = _wedge_walk(s, math.pi / (2 * k_order), t, replace(cfg, dt=t / 500))
     z = end[:, 0] + 1j * end[:, 1]
     vals = np.where(killed, 0.0, (z ** k_order).real)
     return McEstimate.from_samples(vals), McEstimate.from_samples((~killed).astype(float))
@@ -712,7 +710,6 @@ def cone_condition_decay(k: int, cfg: PathEnsembleConfig,
     if k < 1:
         raise InvalidParameterError("k must be a positive integer")
     alpha = math.pi / k
-    model = make_cone_model(k)
 
     radii = np.asarray(radii, dtype=float)
     exact = np.array([cone_exit_exact(ConeSpec(alpha=alpha, r=r)) for r in radii])

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class SurvivalField:
     """Boundary-hitting probabilities p_t on a domain.
 
@@ -75,7 +75,7 @@ class SurvivalField:
     clip_high: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class HeatContentCurve:
     """Heat content over a list of times with the c * sqrt(t) slope fit."""
 
@@ -183,12 +183,11 @@ def _explicit_cyclic(rows: np.ndarray, theta: float, out: np.ndarray):
 def _solve_cyclic(rhs: np.ndarray, theta: float, factor):
     """Batched cyclic tridiagonal solve via Sherman-Morrison.
 
-    factor is _cyclic_factor(n, theta); rings of one or two cells are
-    solved directly and take None.
+    factor is _cyclic_factor(n, theta); a ring is a whole periodic grid
+    line, so n >= 2, and a ring of two cells is solved directly and takes
+    None.
     """
     n = rhs.shape[1]
-    if n == 1:
-        return rhs.copy()
     if n == 2:
         # ring of two cells: both off-diagonal couplings add up
         a = 1 + 2 * theta
@@ -227,7 +226,7 @@ class _Runs:
 
         The tail is factored whole: a zero coupling leaves the next pivot
         exact (d - 0 * 0), so every run gets its own factors bit for bit.
-        Rings of one or two cells, and an empty tail, take None.
+        Rings of two cells, and an empty tail, take None.
         """
         ring = _cyclic_factor(self.n, theta) if self.k and self.n > 2 else None
         m = self.size - self.k * self.n

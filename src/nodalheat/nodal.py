@@ -118,7 +118,7 @@ def grid_for_model(model, n: int) -> GridSpec:
                     periodic_x=per_x, periodic_y=per_y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Cell-center samples of a scalar field on a grid; values has shape (ny, nx)."""
 
@@ -135,7 +135,7 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
 
-@dataclass
+@dataclass(eq=False)
 class NodalSet:
     """Zero contour as point chains plus total H^1 length.
 
@@ -148,7 +148,7 @@ class NodalSet:
     perturbed_zeros: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class DomainMask:
     """Strict-sign 4-connected components of a sampled field.
 
@@ -170,15 +170,15 @@ class DomainMask:
     n_labels: int
     zero_cells: int = 0
     # find_objects boxes, one per label (None for a label without cells)
-    _boxes: list = field(default=None, init=False, repr=False, compare=False)
+    _boxes: list = field(default=None, init=False, repr=False)
     # boundary_length of every label for the mask's own samples
-    _boundary_table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _boundary_table: np.ndarray = field(default=None, init=False, repr=False)
     # _ghost_table of field_values, shared by every walk and start check
-    _interp_table: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _interp_table: np.ndarray = field(default=None, init=False, repr=False)
     # label -> domain_inradius
-    _inradii: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _inradii: dict = field(default_factory=dict, init=False, repr=False)
     # label -> heat._AdiPlan, the domain's solver plan
-    _adi_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _adi_plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def _check(self, label):
         if not (isinstance(label, (int, np.integer)) and 1 <= label <= self.n_labels):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -124,7 +124,7 @@ _STREAMS = {
     "interval": (3, 0, 1 << 56),                # escape_interval_mc
     "cone": (4, 0, 1 << 56),                    # cone_exit_mc
     "corridor": (6, 0, 1 << 54),                # bounds._corridor_walk, one key per walk
-    "wedge": (6, 1 << 54, 1 << 54),             # bounds._wedge_fk_survival
+    "wedge": (6, 1 << 54, 1 << 54),             # _wedge_walk
     "corridor_starts": (6, 1 << 55, 1 << 55),   # bounds.avoided_crossing_scan
     "points": (7, 0, 1),                        # bounds._interior_points
 }
@@ -298,71 +298,68 @@ def _validate_start(mask: DomainMask, label: int, x):
     if labels[iy, ix] != label:
         raise InvalidParameterError(
             f"start point {tuple(pt[0])} lies in a cell outside domain label {label}")
+    # the four neighbours, wrapped on a periodic axis; past a wall is outside
     ny, nx = labels.shape
-    neighbors = []
-    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        jy, jx = iy + dy, ix + dx
-        if grid.periodic_y:
-            jy %= ny
-        if grid.periodic_x:
-            jx %= nx
-        if 0 <= jy < ny and 0 <= jx < nx:
-            neighbors.append(labels[jy, jx] == label)
-        else:
-            neighbors.append(False)
-    if not all(neighbors):
+    jy, jx = iy + np.array([0, 0, 1, -1]), ix + np.array([1, -1, 0, 0])
+    if grid.periodic_y:
+        jy %= ny
+    if grid.periodic_x:
+        jx %= nx
+    if not (np.all((jy >= 0) & (jy < ny) & (jx >= 0) & (jx < nx))
+            and np.all(labels[jy, jx] == label)):
         warnings.warn(
             "start point within one cell of the boundary; the estimate is "
             "discretization dominated", ResolutionWarning)
     return pt[0]
 
 
+def _start_and_walk(mask: DomainMask, label: int, x, t: float, cfg: PathEnsembleConfig):
+    """(x, absorbed, end): the start x checked, then cfg.n_paths walks from it."""
+    pt = _validate_start(mask, label, x)
+    return (pt, *_walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
+                                 np.tile(pt, (cfg.n_paths, 1)), t, cfg))
+
+
+def _estimates(model, mask: DomainMask, label: int, x, t: float, cfg: PathEnsembleConfig):
+    """(p_t, killed, mass-conserving) at x from one walk; (None, u(x), u(x)) at t = 0.
+
+    A path's killed value is u(end) if it survives, else 0.  The
+    mass-conserving mean is killed + p_t * u(x), so the gap identity holds
+    exactly; its standard error is that of u(end) psi + (1 - psi) u(x).
+    """
+    if t == 0:      # nothing walks: both evolutions are u(x) with error 0
+        at_x = McEstimate(float(model.evaluate(*_validate_start(mask, label, x))), 0.0,
+                          cfg.n_paths)
+        return None, at_x, at_x
+    pt, absorbed, end = _start_and_walk(mask, label, x, t, cfg)
+    u0 = float(model.evaluate(*pt))
+    vals = np.where(absorbed, 0.0, np.asarray(model.evaluate(end[:, 0], end[:, 1])))
+    p = McEstimate.from_samples(absorbed.astype(float))
+    fk = McEstimate.from_samples(vals)
+    xi = McEstimate.from_samples(np.where(absorbed, u0, vals))
+    return p, fk, replace(xi, mean=fk.mean + p.mean * u0)
+
+
 def estimate_hitting_probability(mask: DomainMask, label: int, x, t: float,
                                  cfg: PathEnsembleConfig) -> McEstimate:
     """p_t(x): probability of hitting the domain boundary within time t."""
-    pt = _validate_start(mask, label, x)
-    starts = np.tile(pt, (cfg.n_paths, 1))
-    absorbed, _ = _walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
-                                  starts, t, cfg)
+    _, absorbed, _ = _start_and_walk(mask, label, x, t, cfg)
     return McEstimate.from_samples(absorbed.astype(float))
 
 
 def feynman_kac_dirichlet(model, mask: DomainMask, label: int, x, t: float,
                           cfg: PathEnsembleConfig) -> McEstimate:
-    """E_x[u(path(t)) * survival]; equals exp(-lambda t) u(x) for eigenmodes."""
-    pt = _validate_start(mask, label, x)
-    if t == 0:
-        return McEstimate(mean=float(model.evaluate(pt[0], pt[1])), std_error=0.0,
-                          n_paths=cfg.n_paths)
-    starts = np.tile(pt, (cfg.n_paths, 1))
-    absorbed, end = _walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
-                                    starts, t, cfg)
-    vals = np.where(absorbed, 0.0, np.asarray(model.evaluate(end[:, 0], end[:, 1])))
-    return McEstimate.from_samples(vals)
+    """E_x[u(path(t)) * survival]; equals exp(-lambda t) u(x) for eigenmodes.
+    The killed element of _estimates."""
+    return _estimates(model, mask, label, x, t, cfg)[1]
 
 
 def xi_evolution(model, mask: DomainMask, label: int, x, t: float,
                  cfg: PathEnsembleConfig) -> McEstimate:
     """Mass-conserving evolution: killed flow plus absorbed mass frozen at x.
-
-    The mean is assembled as fk_mean + p_hat * u(x) from one shared path
-    ensemble, so the gap identity (xi - dirichlet) = p_t * u(x) holds
-    exactly for equal configs.  The standard error comes from the per-path
-    values u(end) * psi + (1 - psi) * u(x).
-    """
-    pt = _validate_start(mask, label, x)
-    u0 = float(model.evaluate(pt[0], pt[1]))
-    if t == 0:
-        return McEstimate(mean=u0, std_error=0.0, n_paths=cfg.n_paths)
-    starts = np.tile(pt, (cfg.n_paths, 1))
-    absorbed, end = _walk_in_domain(_field_table(mask), mask.grid, mask.sign(label),
-                                    starts, t, cfg)
-    fk_vals = np.where(absorbed, 0.0, np.asarray(model.evaluate(end[:, 0], end[:, 1])))
-    fk_mean = float(fk_vals.mean())
-    p_hat = float(absorbed.astype(float).mean())
-    xi_vals = np.where(absorbed, u0, fk_vals)
-    se = float(xi_vals.std(ddof=1) / math.sqrt(xi_vals.size)) if xi_vals.size > 1 else 0.0
-    return McEstimate(mean=fk_mean + p_hat * u0, std_error=se, n_paths=cfg.n_paths)
+    The element of _estimates whose mean is killed + p_t * u(x) on the same
+    paths, so (xi - dirichlet) = p_t * u(x) holds exactly for equal configs."""
+    return _estimates(model, mask, label, x, t, cfg)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +478,15 @@ def _wedge_distances(x, y_abs, rad, ux, uy):
     return d_near, d_far
 
 
-def _wedge_walk(start: float, n_paths: int, beta: float, n_steps: int, dt: float,
-                seed: int, stream, bridge: bool):
-    """Walk from (start, 0) killed on the walls |theta| = beta; returns (killed, end).
+def _wedge_walk(start: float, beta: float, t: float, cfg: PathEnsembleConfig):
+    """cfg.n_paths walks from (start, 0) over t, killed on the walls |theta| =
+    beta, steps by _steps_for and draws from the wedge stream; returns (killed, end).
 
     The sign test y_abs*ux - x*uy > 0 is sin(theta - beta) > 0, i.e. the
     folded angle exceeds the half opening.  With the bridge on, a step draws
     two uniforms and the crossing test reads the first; aux is the radius.
     """
+    n_steps, dt = _steps_for(t, cfg)
     ux, uy = math.cos(beta), math.sin(beta)
 
     def events(prev, new, rad, u):
@@ -504,10 +502,10 @@ def _wedge_walk(start: float, n_paths: int, beta: float, n_steps: int, dt: float
             dead |= u[:, 0] < (p_n + p_f - p_n * p_f)
         return dead, rad_new, new
 
-    pos = np.zeros((n_paths, 2))
+    pos = np.zeros((cfg.n_paths, 2))
     pos[:, 0] = start
-    return _absorbing_walk(events, pos, np.full(n_paths, start), n_steps, dt, seed, stream,
-                           2 if bridge else 0)
+    return _absorbing_walk(events, pos, np.full(cfg.n_paths, start), n_steps, dt, cfg.seed,
+                           _STREAMS["wedge"], 2 if cfg.bridge_correction else 0)
 
 
 def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:

@@ -177,6 +177,34 @@ class TestThinDomain:
             lower = 1 - c / math.sqrt(math.pi)
             assert est.mean >= lower - 3 * max(est.std_error, 1e-12), (c, est.mean)
 
+    def test_containment_wraps_only_periodic_axes(self, torus11):
+        # on the walled 2 x 1 rectangle no point has a copy one period away:
+        # the half width is the plain distance, and (1.9, 0.25) is 0.9 off
+        # the segment's end (1, 0.25), not on its copy shifted by -1
+        seg = ((0.0, 0.25), (1.0, 0.25))
+        tube = TubeSpec(segment=seg, half_width=0.05)
+        cfg = PathEnsembleConfig(n_paths=500, seed=23)
+        model = nh.make_rectangle_eigenfunction(1, 1, 2.0, 1.0)
+        grid = nh.grid_for_model(model, 64)
+        assert bounds._segment_distance(np.array([1.9]), np.array([0.25]), seg,
+                                        grid)[0] == pytest.approx(0.9, rel=1e-12)
+        mask = nh.label_nodal_domains(nh.sample_field(model, grid))
+        xs, ys = grid.cell_center_mesh()
+        qx = xs - 0.0
+        qy = ys - 0.25
+        s = np.clip(qx, 0.0, 1.0)
+        unwrapped = np.hypot(qx - s, qy)
+        expected = min(float(unwrapped[mask.labels == k].max())
+                       for k in range(1, mask.n_labels + 1))
+        rep = thin_domain_check(model, tube, cfg=cfg, grid_n=64)
+        assert rep.constants["containment_halfwidth"] == expected
+        assert expected == pytest.approx(1.2281, abs=1e-4)
+        # on the unit torus both axes wrap by 1, as before
+        for m, pinned in ((torus11, "0x1.f000000000000p-3"),
+                          (nh.make_torus_eigenfunction(2, 3), "0x1.2000000000000p-4")):
+            rep = thin_domain_check(m, tube, cfg=cfg, grid_n=64)
+            assert rep.constants["containment_halfwidth"].hex() == pinned
+
     def test_degenerate_width_escapes_certainly(self, torus11):
         tube = TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=1e-4)
         cfg = PathEnsembleConfig(n_paths=500, dt=(1 / LAM11) / 150, seed=23)

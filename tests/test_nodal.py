@@ -118,6 +118,21 @@ class TestLabeling:
         assert mask.n_labels == 1
         assert mask.sign(1) == 1
 
+    def test_array_holders_compare_by_identity(self, torus11):
+        # an array field has no single truth value, so == answers by identity
+        field = nh.sample_field(torus11, nh.grid_for_model(torus11, 16))
+        a, b = nh.label_nodal_domains(field), nh.label_nodal_domains(field)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        copy = nh.nodal.ScalarField(field.grid, field.values.copy())
+        assert field == field and field != copy
+        survival = nh.solve_hitting_field(a, 1, 1e-3, n_steps=10)
+        assert survival == survival
+        assert survival != nh.solve_hitting_field(a, 1, 1e-3, n_steps=10)
+        # a report keeps its arrays in curves
+        rep = theorem1_certificate(torus11, field.grid, n_steps=10)
+        assert rep == rep and rep != theorem1_certificate(torus11, field.grid, n_steps=10)
+
     def test_torus_23_domain_count(self):
         m = nh.make_torus_eigenfunction(2, 3)
         mask = nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 256)))

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -468,3 +469,69 @@ class TestWalkBytes:
         d = _level_set_distance(f, gx, gy)
         # a zero gradient caps at _MAX_DIST; f = 0 is on the zero set
         assert d.tolist() == [_MAX_DIST, 0.0, _MAX_DIST, 0.0, 0.6]
+
+
+def _estimate_cases():
+    """(model, mask, label, start) of each pinned estimate."""
+    torus = nh.make_torus_eigenfunction(1, 1)
+    rect = nh.make_rectangle_eigenfunction(1, 1, 1.0, 1.0)
+    masks = {m: nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 64)))
+             for m in (torus, rect)}
+    return {name: (model, masks[model], 1, x) for name, model, x in (
+        ("torus", torus, (0.25, 0.25)),
+        ("seam", torus, (1.25, 0.25)),      # one period right of "torus"
+        ("rect", rect, (0.5, 0.5)),
+        ("wall", rect, (0.01, 0.6)),        # in a wall cell: warns
+    )}
+
+
+class TestEstimateBytes:
+    """sha256 of the float.hex of mean and standard error of the three grid
+    estimators at t = 0.02 and of both evolutions at t = 0, with the count of
+    start warnings; the arithmetic on top of the walk must reproduce them."""
+
+    PINNED = {
+        ("rect", 100, True): "d18ebd69c8b977bd",
+        ("rect", 100, False): "ac07d0dec89b4159",
+        ("rect", 3001, True): "b44943453b7c45cd",
+        ("rect", 3001, False): "c84ae38ea8fa3801",
+        ("seam", 100, True): "2fc0563842164cc8",
+        ("seam", 100, False): "02cd84ccb5d6bb3c",
+        ("seam", 3001, True): "a60060229157e6e0",
+        ("seam", 3001, False): "c9f7c9b1e1a91295",
+        ("torus", 100, True): "30a853fda1a77ef7",
+        ("torus", 100, False): "02cd84ccb5d6bb3c",
+        ("torus", 3001, True): "a1524781e5eb59f5",
+        ("torus", 3001, False): "c9f7c9b1e1a91295",
+        ("wall", 100, True): "d97deaaf405777db",
+        ("wall", 100, False): "d0523350001efb7b",
+        ("wall", 3001, True): "e9ccafa50bb32705",
+        ("wall", 3001, False): "0b0be7be09f6a7f1",
+    }
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _estimate_cases()
+
+    @pytest.mark.parametrize("name,n_paths,bridge", sorted(PINNED))
+    def test_estimates_pinned(self, cases, name, n_paths, bridge):
+        model, mask, label, x = cases[name]
+        h = hashlib.sha256()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for t in (0.02, 0.0):
+                cfg = PathEnsembleConfig(n_paths=n_paths, dt=0.02 / 100, seed=11,
+                                         bridge_correction=bridge)
+                ests = [feynman_kac_dirichlet(model, mask, label, x, t, cfg),
+                        xi_evolution(model, mask, label, x, t, cfg)]
+                if t > 0:
+                    ests.append(estimate_hitting_probability(mask, label, x, t, cfg))
+                else:
+                    with pytest.raises(InvalidParameterError):
+                        estimate_hitting_probability(mask, label, x, t, cfg)
+                for e in ests:
+                    assert e.n_paths == n_paths
+                    h.update(f"{e.mean.hex()} {e.std_error.hex()}\n".encode())
+        n_warned = sum(issubclass(w.category, ResolutionWarning) for w in caught)
+        h.update(f"{n_warned}\n".encode())
+        assert h.hexdigest()[:16] == self.PINNED[(name, n_paths, bridge)]
