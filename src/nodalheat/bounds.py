@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 HALFPLANE_CONSTANT = 2 / math.sqrt(math.pi)     # heat content slope per unit wall
+INTERIOR_MIN_CELLS = 3.0        # comparison points lie this many cells from the boundary
+CONE_RADII = (4.0, 8.0, 16.0)   # stop radii of the cone exit-law exponent fit
+ENVELOPE_C1, ENVELOPE_C2 = 0.9, 1.0     # report-only cone envelope c1 s^(c2 k)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +144,6 @@ class TubeSpec:
     def __post_init__(self):
         if self.half_width <= 0:
             raise InvalidParameterError("half_width must be positive")
-        (x0, y0), (x1, y1) = self.segment
-        if math.hypot(x1 - x0, y1 - y0) > 1 + 1e-12:
-            raise InvalidParameterError("segment length must be at most 1")
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,10 @@ class CorridorSpec:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _interior_points(dist: np.ndarray, grid: GridSpec, count: int, seed: int,
-                     min_cells: float = 3.0):
-    """Deterministic sample of cell centers whose dist is min_cells cells or more."""
-    ok = dist >= min_cells * grid.h
+def _interior_points(dist: np.ndarray, grid: GridSpec, count: int, seed: int):
+    """Deterministic sample of cell centers whose dist is INTERIOR_MIN_CELLS
+    cells or more."""
+    ok = dist >= INTERIOR_MIN_CELLS * grid.h
     iy, ix = np.nonzero(ok)
     if iy.size == 0:
         raise EmptyDomainError("domain has no cells away from its boundary")
@@ -233,7 +233,7 @@ def check_comparison_lemma(model: EigenfunctionModel, mask: DomainMask, label: i
     dist_map = distance_to_boundary_map(mask, label)
     if points is None:
         points = _interior_points(dist_map, grid, 10, cfg.seed)
-    norms = compute_norms(model, mask, grid, label=label)
+    norms = compute_norms(model, mask, label=label)
 
     rep = ExperimentReport(
         name="comparison-lemma",
@@ -280,10 +280,10 @@ def check_comparison_lemma(model: EigenfunctionModel, mask: DomainMask, label: i
 # ---------------------------------------------------------------------------
 
 def theorem1_certificate(model: EigenfunctionModel, grid: GridSpec,
-                         t: float | None = None, n_steps: int = 96) -> ExperimentReport:
+                         n_steps: int = 96) -> ExperimentReport:
     """Per-domain heat-content lower bounds aggregated into length certificates.
 
-    For every nodal domain D computes the heat content at t (default 1/lambda)
+    For every nodal domain D computes the heat content at t = 1/lambda
     and the ratio against (1 - e^(-lambda t)) t^(-1/2) |u|_L1(D) / |grad u|_inf(D);
     aggregates the constant-free certificate sqrt(lambda) Sum_D |u|_L1 / |u|_inf,
     which must stay below the measured boundary measure.
@@ -291,8 +291,7 @@ def theorem1_certificate(model: EigenfunctionModel, grid: GridSpec,
     lam = model.eigenvalue
     if lam <= 0:
         raise InvalidParameterError("model must be an eigenfunction (lambda > 0)")
-    if t is None:
-        t = 1.0 / lam
+    t = 1.0 / lam
     field = sample_field(model, grid)
     mask = label_nodal_domains(field)
     z_len = _nodal_length(field)
@@ -303,7 +302,7 @@ def theorem1_certificate(model: EigenfunctionModel, grid: GridSpec,
     sum_boundary = 0.0
     ratios = []
     for label in range(1, mask.n_labels + 1):
-        norms = compute_norms(model, mask, grid, label=label)
+        norms = compute_norms(model, mask, label=label)
         lhs = heat_content(mask, label, t, n_steps)
         rhs = (1 - math.exp(-lam * t)) / math.sqrt(t) * norms.l1 / norms.grad_linf
         blen = boundary_length(mask, label)
@@ -403,8 +402,15 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
     one-sided reflection bound with the variance-convention factor
     kappa = 1/sqrt(2) folded in).  When that lower bound exceeds
     1 - exp(-lambda t), no nodal domain fits inside the tube.  The report
-    also measures which nodal domains of the model actually fit.
+    also measures which nodal domains of the model actually fit.  Along a
+    periodic axis of the model the segment may span at most one period.
     """
+    (x0, y0), (x1, y1) = tube.segment
+    for periodic, extent, period in zip(model.periodic, (abs(x1 - x0), abs(y1 - y0)),
+                                        model.frame[2:]):
+        if periodic and extent > period * (1 + 1e-12):
+            raise InvalidParameterError(
+                "segment extent must be at most the period along a periodic axis")
     lam = model.eigenvalue
     if t is None:
         t = 1.0 / lam if lam > 0 else 1.0
@@ -696,8 +702,7 @@ def _wedge_fk_survival(k_order: int, s: float, t: float, cfg: PathEnsembleConfig
 
 
 def cone_condition_decay(k: int, cfg: PathEnsembleConfig,
-                         radii=(4.0, 8.0, 16.0), s_values=(0.05, 0.1, 0.2),
-                         c1: float = 0.9, c2: float = 1.0) -> ExperimentReport:
+                         s_values=(0.05, 0.1, 0.2)) -> ExperimentReport:
     """Survival decay near a cone apex versus the model's vanishing order.
 
     On the harmonic sector model of degree k (opening angle pi/k) the exact
@@ -711,7 +716,7 @@ def cone_condition_decay(k: int, cfg: PathEnsembleConfig,
         raise InvalidParameterError("k must be a positive integer")
     alpha = math.pi / k
 
-    radii = np.asarray(radii, dtype=float)
+    radii = np.asarray(CONE_RADII, dtype=float)
     exact = np.array([cone_exit_exact(ConeSpec(alpha=alpha, r=r)) for r in radii])
     slope = float(np.polyfit(np.log(radii), np.log(exact), 1)[0])
     survival_exp = -slope / 2
@@ -730,7 +735,7 @@ def cone_condition_decay(k: int, cfg: PathEnsembleConfig,
                "harmonic sector data is a martingale"),
         inputs={"k": k, "alpha": alpha, "radii": tuple(radii),
                 "s_values": tuple(s_values), "n_paths": cfg.n_paths,
-                "seed": cfg.seed, "c1": c1, "c2": c2},
+                "seed": cfg.seed, "c1": ENVELOPE_C1, "c2": ENVELOPE_C2},
     )
     rep.constants.update({
         "survival_exponent_measured": survival_exp,
@@ -759,7 +764,7 @@ def cone_condition_decay(k: int, cfg: PathEnsembleConfig,
         tol = 3 * fk.std_error + allow * u_exact + 1e-12
         rep.check(f"martingale-s={s:g}", bool(abs(fk.mean - u_exact) <= tol),
                   f"|{fk.mean:.4e} - {u_exact:.4e}| <= {tol:.2e}")
-        envelope_lo = c1 * s ** (c2 * k)
+        envelope_lo = ENVELOPE_C1 * s ** (ENVELOPE_C2 * k)
         envelope_hi = 2 * s ** reference_exp
         rep.check(f"envelope-s={s:g}", None,
                   f"{envelope_lo:.3e} <= v = {fk.mean:.3e} <= {envelope_hi:.3e} "

@@ -387,7 +387,9 @@ def run_thin_domain(ns) -> bounds.ExperimentReport:
         raise InvalidParameterError(
             f"model {ns.model} has lambda = 0; thin-domain sizes its tube "
             "as c/sqrt(lambda)")
-    tube = bounds.TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)),
+    # across the model's frame at a quarter of its height
+    x0, y0, ex, ey = model.frame
+    tube = bounds.TubeSpec(segment=((x0, y0 + ey / 4), (x0 + ex, y0 + ey / 4)),
                            half_width=ns.c / math.sqrt(lam))
     t = ns.t if ns.t is not None else 1.0 / lam
     cfg = _path_cfg(ns, t / 500)

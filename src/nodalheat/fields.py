@@ -143,13 +143,6 @@ class EigenfunctionModel:
         raise InvalidParameterError(f"unknown model kind {self.kind!r}")
 
     @property
-    def wavelength(self):
-        """2 pi / sqrt(lambda); inf for the harmonic cone model."""
-        if self.eigenvalue <= 0:
-            return np.inf
-        return 2 * np.pi / np.sqrt(self.eigenvalue)
-
-    @property
     def vanishing_order(self):
         """Effective vanishing order at the apex; only the cone model has one."""
         if self.kind == CONE:
@@ -211,7 +204,7 @@ def make_cone_model(k: int) -> EigenfunctionModel:
     return EigenfunctionModel(CONE, (int(k),), (), 0.0)
 
 
-def compute_norms(model: EigenfunctionModel, mask, grid, label=None) -> NormBundle:
+def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
     """Midpoint-rule L1 and grid suprema of |u| and |grad u| over mask cells.
 
     With label=None all labeled cells count; otherwise only the given nodal
@@ -219,10 +212,9 @@ def compute_norms(model: EigenfunctionModel, mask, grid, label=None) -> NormBund
     (mask.box) alone, so the cost is the domain's, not the grid's.  The box
     keeps the raster order, so the sums and maxima see the values that a
     full-grid selection gives, in the same order, and return the same
-    bytes.  The mask must come from the same grid.
+    bytes.
     """
-    if mask.grid != grid:
-        raise InvalidParameterError("mask was built on a different grid")
+    grid = mask.grid
     if label is None:
         box, sel = None, mask.labels > 0
     else:

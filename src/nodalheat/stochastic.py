@@ -13,10 +13,13 @@ Two estimators called with the same config see bitwise identical paths,
 which makes shared-path identities exact.  A walk owns one Philox generator
 and re-keys it for each step (`_keyed_stream`); the draws equal those of a
 generator built for the step's key.  The time-stepped walks (grid domain,
-line, interval, wedge) share one engine, `_absorbing_walk`, which draws one
-step per re-keying.  The cone exit law is a harmonic measure with no time
-horizon, so `cone_exit_mc` samples it by walk-on-spheres instead: no time
-step, and every path runs until it is within `CONE_SHELL` of the boundary.
+line, interval, wedge) share one engine, `_absorbing_walk`: it owns the
+time grid, the stream and the Brownian-bridge crossing correction, draws
+one step per re-keying, and asks the walk only for its walls (endpoint
+kills and distances to each wall).  The cone exit law is a harmonic
+measure with no time horizon, so `cone_exit_mc` samples it by
+walk-on-spheres instead: no time step, and every path runs until it is
+within `CONE_SHELL` of the boundary.
 """
 
 from __future__ import annotations
@@ -172,23 +175,47 @@ def _steps_for(t: float, cfg: PathEnsembleConfig):
     return n_steps, t / n_steps
 
 
-def _absorbing_walk(events, pos, aux, n_steps: int, dt: float, seed: int,
-                    stream, n_uniform: int):
-    """Killed walk of one path per row of pos (n, d); returns (killed, end).
+def _bridge_crossing(d0, d1, dt: float):
+    """P(a step's Brownian bridge crosses a wall), from each wall's distances
+    d0 and d1 at the step's ends: exp(-d0 d1 / dt) for one wall (Gobet, SPA
+    87, 2000), p + q - p q for two."""
+    crossed = None
+    for a, b in zip(d0, d1):
+        # exp(-min(a b / dt, 700)), in place: np.exp is slow below about -708,
+        # and exp(-700) = 1e-304 kills only on a uniform of exactly 0.0
+        p = a * b
+        p /= dt
+        np.minimum(p, 700.0, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        crossed = p if crossed is None else crossed + p - crossed * p
+    return crossed
 
-    Only live paths are held, compacted in order.  Step k draws Normal(0, 2 dt)
-    increments (m, d) for the m live paths, then uniforms (m, n_uniform), from
-    counter k of the stream (_keyed_stream).  events(prev, new, aux, u) maps
-    the step's start and end points (m, d) to (dead, aux at the end, new); the
-    new points it returns may be remapped.  A path is killed at its first dead
-    step and ends there; end is the last point of paths live after n_steps.
+
+def _absorbing_walk(walls, pos, dist, t: float, cfg: PathEnsembleConfig, stream,
+                    n_uniform: int = 1):
+    """Killed walk of one path per row of pos (n, d) over t; returns (killed, end).
+
+    The steps are those of _steps_for(t, cfg).  Only live paths are held,
+    compacted in order.  Step k draws Normal(0, 2 dt) increments (m, d) for
+    the m live paths, then, with cfg.bridge_correction, uniforms
+    (m, n_uniform), from counter k of the stream keyed by cfg.seed
+    (_keyed_stream).  walls(new) maps a step's end points (m, d) to (dead,
+    dist, new): the endpoint kills, a tuple of each point's distance to each
+    wall, and the points, which it may remap; dist holds those distances at
+    pos.  With the bridge on and some wall, a step also kills on its first
+    uniform with the _bridge_crossing probability.  A path is killed at its
+    first dead step and ends there; end is the last point of paths live
+    after the steps.
     """
+    n_steps, dt = _steps_for(t, cfg)
+    bridge = cfg.bridge_correction and len(dist) > 0
     n, d = pos.shape
     sigma = math.sqrt(2 * dt)
     killed = np.zeros(n, dtype=bool)
     end = pos.copy()
     live = np.arange(n)
-    rng_at = _keyed_stream(seed, stream)
+    rng_at = _keyed_stream(cfg.seed, stream)
     for k in range(n_steps):
         if not live.size:
             break
@@ -197,8 +224,11 @@ def _absorbing_walk(events, pos, aux, n_steps: int, dt: float, seed: int,
         new = rng.standard_normal((m, d))
         new *= sigma
         new += pos
-        u = rng.random((m, n_uniform)) if n_uniform else None
-        dead, aux, new = events(pos, new, aux, u)
+        dead, dist_new, new = walls(new)
+        if bridge:
+            u = rng.random((m, n_uniform))
+            dead |= u[:, 0] < _bridge_crossing(dist, dist_new, dt)
+        dist = dist_new
         sel = np.flatnonzero(dead)
         if sel.size:
             idx = live[sel]
@@ -207,8 +237,7 @@ def _absorbing_walk(events, pos, aux, n_steps: int, dt: float, seed: int,
             keep = ~dead
             live = live[keep]
             new = np.compress(keep, new, axis=0)
-            if aux is not None:
-                aux = aux[keep]
+            dist = tuple(x[keep] for x in dist)
         pos = new
     end[live] = pos
     return killed, end
@@ -245,11 +274,10 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
     """Absorbing walk of one path per start row; returns (absorbed, end).
 
     table is the field's ghost table (nodal._ghost_table; _field_table for
-    a mask).  Absorption tests the sign of the bilinear interpolant at each
-    step endpoint; with bridge_correction on, a Brownian-bridge crossing
-    draw against the local linearization of the zero set is added per step.
+    a mask).  The one wall is the zero set: absorption tests the sign of the
+    bilinear interpolant at each step endpoint, and the engine's bridge test
+    reads the distance to the local linearization of the zero set.
     """
-    n_steps, dt = _steps_for(t, cfg)
     pos = np.array(starts, dtype=float)
     f, gx, gy, inside = interpolate_with_gradient(table, grid, pos)
     absorbed = (~inside) | (sign * f <= 0)
@@ -261,7 +289,7 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
     held = []
     walled = not (grid.periodic_x and grid.periodic_y)    # else inside is all True
 
-    def events(prev, new, dist, u):
+    def walls(new):
         _wrap(new, grid)
         f, gx, gy, inside = held[:] = interpolate_with_gradient(table, grid, new)
         d1 = _level_set_distance(f, gx, gy)
@@ -269,19 +297,10 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
         dead = f <= 0
         if walled:
             dead |= np.logical_not(inside, out=inside)
-        if u is not None:
-            # the crossing probability exp(-min(dist d1 / dt, 700)), in place
-            p = dist * d1
-            p /= dt
-            np.minimum(p, 700.0, out=p)
-            np.negative(p, out=p)
-            np.exp(p, out=p)
-            dead |= u[:, 0] < p
-        return dead, d1, new
+        return dead, (d1,), new
 
     absorbed[live], pos[live] = _absorbing_walk(
-        events, pos[live], _level_set_distance(f, gx, gy)[live], n_steps, dt,
-        cfg.seed, _STREAMS["grid"], int(cfg.bridge_correction))
+        walls, pos[live], (_level_set_distance(f, gx, gy)[live],), t, cfg, _STREAMS["grid"])
     return absorbed, pos
 
 
@@ -371,38 +390,17 @@ def halfplane_hitting_exact(d: float, t: float) -> float:
     return float(special.erfc(d / (2 * math.sqrt(t))))
 
 
-# exp(-q) is exactly 0.0 in float64 for q at or above this (the last nonzero
-# value is exp(-745.133...) = 5e-324)
-_EXP_NEG_ZERO = 746.0
-
-
-def _exp_neg(q: np.ndarray) -> np.ndarray:
-    """np.exp(-q), taken only where it can be nonzero: most bridge crossing
-    tests are far from a wall, where the exp would return 0.  Rounding is
-    symmetric in sign, so -(a b / dt) is (-a) b / dt to the bit."""
-    p = np.zeros(q.shape)
-    near = q < _EXP_NEG_ZERO
-    p[near] = np.exp(-q[near])
-    return p
-
-
 def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
-    """Stopped flags of walks from 0 absorbed at lo < 0 < hi; a wall may be infinite."""
-    n_steps, dt = _steps_for(t, cfg)
+    """Stopped flags of walks from 0 absorbed at lo < 0 < hi; a wall may be
+    infinite, and an infinite wall has no distance."""
+    finite = [w for w in (hi, lo) if math.isfinite(w)]
 
-    def events(prev, new, aux, u):
-        x0, x1 = prev[:, 0], new[:, 0]
-        dead = (x1 >= hi) | (x1 <= lo)
-        if u is not None:
-            p = _exp_neg(np.maximum(hi - x0, 0.0) * np.maximum(hi - x1, 0.0) / dt)
-            if lo > -np.inf:
-                p_dn = _exp_neg(np.maximum(x0 - lo, 0.0) * np.maximum(x1 - lo, 0.0) / dt)
-                p = p + p_dn - p * p_dn
-            dead |= u[:, 0] < p
-        return dead, None, new
+    def walls(new):
+        x = new[:, 0]
+        return (x >= hi) | (x <= lo), tuple(np.abs(w - x) for w in finite), new
 
-    stopped, _ = _absorbing_walk(events, np.zeros((cfg.n_paths, 1)), None, n_steps, dt,
-                                 cfg.seed, stream, int(cfg.bridge_correction))
+    pos = np.zeros((cfg.n_paths, 1))
+    stopped, _ = _absorbing_walk(walls, pos, walls(pos)[1], t, cfg, stream)
     return stopped
 
 
@@ -480,32 +478,25 @@ def _wedge_distances(x, y_abs, rad, ux, uy):
 
 def _wedge_walk(start: float, beta: float, t: float, cfg: PathEnsembleConfig):
     """cfg.n_paths walks from (start, 0) over t, killed on the walls |theta| =
-    beta, steps by _steps_for and draws from the wedge stream; returns (killed, end).
+    beta, drawing from the wedge stream; returns (killed, end).
 
     The sign test y_abs*ux - x*uy > 0 is sin(theta - beta) > 0, i.e. the
-    folded angle exceeds the half opening.  With the bridge on, a step draws
-    two uniforms and the crossing test reads the first; aux is the radius.
+    folded angle exceeds the half opening.  The wall distances are those of
+    _wedge_distances.  With the bridge on, a step draws two uniforms and the
+    crossing test reads the first.
     """
-    n_steps, dt = _steps_for(t, cfg)
     ux, uy = math.cos(beta), math.sin(beta)
 
-    def events(prev, new, rad, u):
+    def walls(new):
         ax = new[:, 0]
         ay = np.abs(new[:, 1])
-        rad_new = np.sqrt(ax * ax + ay * ay)
         dead = ay * ux - ax * uy > 0
-        if u is not None:
-            d0n, d0f = _wedge_distances(prev[:, 0], np.abs(prev[:, 1]), rad, ux, uy)
-            d1n, d1f = _wedge_distances(ax, ay, rad_new, ux, uy)
-            p_n = np.exp(-d0n * d1n / dt)
-            p_f = np.exp(-d0f * d1f / dt)
-            dead |= u[:, 0] < (p_n + p_f - p_n * p_f)
-        return dead, rad_new, new
+        return dead, _wedge_distances(ax, ay, np.sqrt(ax * ax + ay * ay), ux, uy), new
 
     pos = np.zeros((cfg.n_paths, 2))
     pos[:, 0] = start
-    return _absorbing_walk(events, pos, np.full(cfg.n_paths, start), n_steps, dt, cfg.seed,
-                           _STREAMS["wedge"], 2 if cfg.bridge_correction else 0)
+    return _absorbing_walk(walls, pos, walls(pos)[1], t, cfg, _STREAMS["wedge"],
+                           n_uniform=2)
 
 
 def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:

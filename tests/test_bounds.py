@@ -19,7 +19,7 @@ from nodalheat.bounds import (
     theorem1_certificate,
     thin_domain_check,
 )
-from nodalheat.errors import ResolutionWarning
+from nodalheat.errors import InvalidParameterError, ResolutionWarning
 from nodalheat.stochastic import PathEnsembleConfig, sup_hitting_check
 
 
@@ -204,6 +204,24 @@ class TestThinDomain:
                           (nh.make_torus_eigenfunction(2, 3), "0x1.2000000000000p-4")):
             rep = thin_domain_check(m, tube, cfg=cfg, grid_n=64)
             assert rep.constants["containment_halfwidth"].hex() == pinned
+
+    def test_segment_longer_than_one_on_walled_axes(self, torus11):
+        # no axis of the 2 x 1 rectangle wraps, so a segment may span its
+        # whole width; every cell centre then projects onto the segment and
+        # the one domain's half width is its farthest row from y = 1/4
+        seg = ((0.0, 0.25), (2.0, 0.25))
+        cfg = PathEnsembleConfig(n_paths=500, seed=23)
+        model = nh.make_rectangle_eigenfunction(1, 1, 2.0, 1.0)
+        rep = thin_domain_check(model, TubeSpec(segment=seg, half_width=0.05),
+                                cfg=cfg, grid_n=64)
+        h = nh.grid_for_model(model, 64).h
+        assert rep.constants["containment_halfwidth"] == pytest.approx(0.75 - h / 2,
+                                                                        rel=1e-12)
+        # along a periodic axis the extent may not pass the period
+        for seg in (((0.0, 0.25), (1.5, 0.25)), ((0.25, 0.0), (0.25, -1.01))):
+            with pytest.raises(InvalidParameterError, match="period"):
+                thin_domain_check(torus11, TubeSpec(segment=seg, half_width=0.05),
+                                  cfg=cfg, grid_n=64)
 
     def test_degenerate_width_escapes_certainly(self, torus11):
         tube = TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=1e-4)

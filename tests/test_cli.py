@@ -327,6 +327,23 @@ class TestArtifacts:
         assert "exact = 0.31191652" in text
 
 
+class TestThinDomainTube:
+    @pytest.mark.parametrize("spec,segment", [
+        ("torus:1,1", ((0.0, 0.25), (1.0, 0.25))),
+        ("rect:1,1,2,1", ((0.0, 0.25), (2.0, 0.25))),
+        ("disk:1,1", ((-1.0, -0.5), (1.0, -0.5))),
+    ])
+    def test_tube_crosses_the_model_frame(self, spec, segment):
+        # the tube spans the frame at a quarter of its height; on the unit
+        # torus that is the segment the experiment always used
+        ns = cli.parse_args(["thin-domain", "--model", spec, "--grid", "32",
+                             "--paths", "200"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = cli.run_thin_domain(ns)
+        assert rep.inputs["segment"] == segment
+
+
 def _notes(path):
     text = read(path).decode()
     return text.split("[notes]\n")[1].splitlines() if "[notes]\n" in text else []

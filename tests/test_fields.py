@@ -122,7 +122,7 @@ class TestNorms:
         grid = nh.grid_for_model(m, 256)
         field = nh.sample_field(m, grid)
         mask = nh.label_nodal_domains(field)
-        norms = nh.compute_norms(m, mask, grid, label=1)
+        norms = nh.compute_norms(m, mask, label=1)
         assert norms.l1 == pytest.approx(1 / np.pi ** 2, rel=2e-4)
         assert norms.linf == pytest.approx(1.0, rel=2e-3)
         assert norms.grad_linf == pytest.approx(2 * np.pi, rel=2e-3)
@@ -132,7 +132,7 @@ class TestNorms:
         grid = nh.grid_for_model(m, 256)
         field = nh.sample_field(m, grid)
         mask = nh.label_nodal_domains(field)
-        norms = nh.compute_norms(m, mask, grid)
+        norms = nh.compute_norms(m, mask)
         assert norms.l1 == pytest.approx(4 / np.pi ** 2, rel=2e-4)
         assert norms.grad_linf == pytest.approx(np.pi, rel=2e-3)
 
@@ -147,7 +147,7 @@ class TestNorms:
         assert xs[16, 16] == 0.0
         mask = nh.label_nodal_domains(nh.indicator_field(grid, pick))
         lab = nh.nodal.principal_label(mask, 1)
-        norms = nh.compute_norms(cone, mask, grid, label=lab)
+        norms = nh.compute_norms(cone, mask, label=lab)
         assert norms.l1 == 0.0
 
     def test_l1_bounded_by_linf_area(self):
@@ -156,7 +156,7 @@ class TestNorms:
         field = nh.sample_field(m, grid)
         mask = nh.label_nodal_domains(field)
         for lab in range(1, mask.n_labels + 1):
-            norms = nh.compute_norms(m, mask, grid, label=lab)
+            norms = nh.compute_norms(m, mask, label=lab)
             assert norms.l1 <= norms.linf * mask.area(lab) * (1 + 1e-12)
 
     def test_mode_swap_symmetry(self):
@@ -165,8 +165,8 @@ class TestNorms:
         grid = nh.grid_for_model(a, 128)
         mask_a = nh.label_nodal_domains(nh.sample_field(a, grid))
         mask_b = nh.label_nodal_domains(nh.sample_field(b, grid))
-        na = nh.compute_norms(a, mask_a, grid)
-        nb = nh.compute_norms(b, mask_b, grid)
+        na = nh.compute_norms(a, mask_a)
+        nb = nh.compute_norms(b, mask_b)
         assert na.l1 == pytest.approx(nb.l1, rel=1e-12)
         assert na.linf == pytest.approx(nb.linf, rel=1e-12)
         assert na.grad_linf == pytest.approx(nb.grad_linf, rel=1e-12)
@@ -184,7 +184,7 @@ class TestNorms:
                 gx, gy = model.gradient(xs[sel], ys[sel])
                 ref = (float(np.sum(np.abs(u)) * grid.h ** 2), float(np.max(np.abs(u))),
                        float(np.max(np.hypot(gx, gy))))
-                norms = nh.compute_norms(model, mask, grid, label=lab)
+                norms = nh.compute_norms(model, mask, label=lab)
                 got = (norms.l1, norms.linf, norms.grad_linf)
                 assert list(map(float.hex, got)) == list(map(float.hex, ref)), (model, lab)
 
@@ -193,7 +193,7 @@ class TestNorms:
         grid = nh.grid_for_model(m, 64)
         mask = nh.label_nodal_domains(nh.sample_field(m, grid))
         with pytest.raises(Exception):
-            nh.compute_norms(m, mask, grid, label=99)
+            nh.compute_norms(m, mask, label=99)
 
 
 def _norm_masks():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -19,8 +20,10 @@ from nodalheat.stochastic import (
     _field_table,
     _keyed_stream,
     _level_set_distance,
+    _line_walk,
     _step_rng,
     _walk_in_domain,
+    _wedge_walk,
     cone_exit_exact,
     cone_exit_mc,
     escape_interval_mc,
@@ -60,6 +63,13 @@ class TestReflectionPrinciple:
         cfg = PathEnsembleConfig(n_paths=2000, dt=T / 200, seed=1)
         res = sup_hitting_check(1e-9, T, cfg)
         assert res.mc.mean >= 0.999
+
+    def test_infinite_barrier_never_hit(self):
+        # an infinite wall has no distance, so the bridge has nothing to cross
+        for bridge in (True, False):
+            cfg = PathEnsembleConfig(n_paths=200, dt=T / 100, seed=1,
+                                     bridge_correction=bridge)
+            assert sup_hitting_check(np.inf, T, cfg).mc.mean == 0.0
 
     def test_tail_bound_threshold(self):
         # 1 - 0.4/sqrt(pi) lower bound; the hit probability clears 1 - 1/e
@@ -469,6 +479,48 @@ class TestWalkBytes:
         d = _level_set_distance(f, gx, gy)
         # a zero gradient caps at _MAX_DIST; f = 0 is on the zero set
         assert d.tolist() == [_MAX_DIST, 0.0, _MAX_DIST, 0.0, 0.6]
+
+
+ENGINE_WALKS = {
+    # one wall, two walls, and the wedge's two walls with its apex
+    "line": (0.01, lambda t, cfg: (_line_walk(-np.inf, 0.15, t, cfg, _STREAMS["line"]),)),
+    "interval": (0.01, lambda t, cfg: (_line_walk(-0.2, 0.2, t, cfg, _STREAMS["interval"]),)),
+    "wedge": (0.02, lambda t, cfg: _wedge_walk(0.1, math.pi / 4, t, cfg)),
+}
+
+
+class TestEngineWalkBytes:
+    """sha256 of the float.hex of the other engine walks' results: the stop
+    flags of the line and interval walks (their only output) and the wedge
+    walk's (killed, end), recorded with a crossing test written per walk;
+    the shared engine must reproduce them bit for bit."""
+
+    PINNED = {
+        ("interval", 1000, True): "f62888f49b70f551",
+        ("interval", 1000, False): "f1b97c2f5fd4bd9f",
+        ("interval", 4000, True): "e500bfefec2dfed4",
+        ("interval", 4000, False): "dba7f5837b3a0715",
+        ("line", 1000, True): "4f5c666f4a40e062",
+        ("line", 1000, False): "b9a4c996e016265c",
+        ("line", 4000, True): "a09e300956f839a1",
+        ("line", 4000, False): "19bc8dbc8d891d9a",
+        ("wedge", 1000, True): "3fcf62b36dc41d1e",
+        ("wedge", 1000, False): "90b6bf87fff868c9",
+        ("wedge", 4000, True): "83542247d1b23d15",
+        ("wedge", 4000, False): "9d6ddb6cc6b70d48",
+    }
+
+    @pytest.mark.parametrize("name,n_paths,bridge", sorted(PINNED))
+    def test_walk_pinned(self, name, n_paths, bridge):
+        t, walk = ENGINE_WALKS[name]
+        cfg = PathEnsembleConfig(n_paths=n_paths, dt=t / 100, seed=11,
+                                 bridge_correction=bridge)
+        h = hashlib.sha256()
+        for arr in walk(t, cfg):
+            for v in arr.reshape(arr.shape[0], -1).tolist():
+                h.update((" ".join(x.hex() if isinstance(x, float) else str(int(x))
+                                   for x in v) + "\n").encode())
+        assert h.hexdigest()[:16] == self.PINNED[(name, n_paths, bridge)]
 
 
 def _estimate_cases():
