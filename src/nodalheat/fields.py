@@ -12,6 +12,7 @@ u = Re((x + i y)^k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -32,6 +33,12 @@ TORUS = "torus_product"
 RECTANGLE = "rectangle_dirichlet"
 DISK = "disk_bessel"
 CONE = "cone_harmonic"
+
+
+@lru_cache(maxsize=None)
+def _bessel_zero(m: int, k: int):
+    """j_{m,k}, the k-th positive zero of J_m, computed once per (m, k)."""
+    return special.jn_zeros(m, k)[-1]
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class EigenfunctionModel:
         if self.kind == DISK:
             m, k = self.mode
             (radius,) = self.geometry
-            j_mk = special.jn_zeros(m, k)[-1]
+            j_mk = _bessel_zero(m, k)
             r = np.hypot(x, y)
             theta = np.arctan2(y, x)
             return special.jv(m, j_mk * r / radius) * np.cos(m * theta)
@@ -94,7 +101,7 @@ class EigenfunctionModel:
         if self.kind == DISK:
             m, k = self.mode
             (radius,) = self.geometry
-            j_mk = special.jn_zeros(m, k)[-1]
+            j_mk = _bessel_zero(m, k)
             r = np.hypot(x, y)
             theta = np.arctan2(y, x)
             s = j_mk / radius
@@ -193,7 +200,7 @@ def make_disk_eigenfunction(m: int, k: int, radius: float = 1.0) -> Eigenfunctio
     _check_mode("k", k)
     if radius <= 0:
         raise InvalidParameterError(f"radius must be positive, got {radius}")
-    j_mk = special.jn_zeros(m, k)[-1]
+    j_mk = _bessel_zero(m, k)
     lam = (j_mk / radius) ** 2
     return EigenfunctionModel(DISK, (int(m), int(k)), (float(radius),), float(lam))
 
@@ -209,7 +216,9 @@ def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
 
     With label=None all labeled cells count; otherwise only the given nodal
     domain, and the model is evaluated on the cells of its bounding box
-    (mask.box) alone, so the cost is the domain's, not the grid's.  The box
+    (mask.box) alone, so the cost is the domain's, not the grid's.  The
+    model gets the axes of the grid or box (GridSpec.cell_center_axes), not
+    a mesh, and broadcasts them, as every model here does; the selection
     keeps the raster order, so the sums and maxima see the values that a
     full-grid selection gives, in the same order, and return the same
     bytes.
@@ -222,11 +231,9 @@ def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
         sel = mask.labels[box] == label
     if not sel.any():
         raise EmptyDomainError("mask selects no cells")
-    xs, ys = grid.cell_center_mesh(box)
-    x = xs[sel]
-    y = ys[sel]
-    u = model.evaluate(x, y)
-    gx, gy = model.gradient(x, y)
+    x, y = grid.cell_center_axes(box)
+    u = model.evaluate(x, y)[sel]
+    gx, gy = (g[sel] for g in model.gradient(x, y))
     cell_area = grid.h ** 2
     l1 = float(np.sum(np.abs(u)) * cell_area)
     linf = float(np.max(np.abs(u)))

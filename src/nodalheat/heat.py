@@ -665,16 +665,20 @@ def dirichlet_semigroup_field(model, mask: DomainMask, label: int, t: float,
     For eigenfunction data this must reproduce exp(-lambda t) u up to
     O(h^2) on rectangles, which are exact in time, and O(h^2 + dt^2) on
     other masks, which take n_steps ADI steps (at least 10).  Cells outside
-    the domain are zero.
+    the domain are zero.  The model is evaluated on the axes of the
+    domain's box (GridSpec.cell_center_axes), as sample_field evaluates it
+    on the grid's.
     """
     if t < 0:
         raise InvalidParameterError("t must be nonnegative")
     plan = _get_plan(mask, label)
     grid = mask.grid
     sel = plan.inmask
-    xs, ys = grid.cell_center_mesh()
+    box = mask.box(label)
     vals = np.zeros((grid.ny, grid.nx))
-    vals[sel] = np.asarray(model.evaluate(xs, ys), dtype=float)[sel]
+    inbox = sel[box]
+    vals[box][inbox] = np.asarray(model.evaluate(*grid.cell_center_axes(box)),
+                                  dtype=float)[inbox]
     if t > 0:
         if n_steps < 10:
             raise InvalidParameterError("n_steps must be at least 10")

@@ -91,6 +91,18 @@ class GridSpec:
         rows, cols = box
         return np.meshgrid(self.xs[cols], self.ys[rows])
 
+    def cell_center_axes(self, box=None):
+        """The grid's axes, cell-center x as a (1, nx) row and y as an (ny, 1)
+        column, which broadcast to cell_center_mesh's arrays; with box,
+        those of its cells only.  A model evaluated on them runs its
+        functions of one coordinate on nx + ny values instead of nx * ny,
+        and broadcasting combines them into the floats a mesh gives."""
+        xs, ys = self.xs, self.ys
+        if box is not None:
+            rows, cols = box
+            xs, ys = xs[cols], ys[rows]
+        return xs[None, :], ys[:, None]
+
     def resolves_wavelength(self, lam: float) -> bool:
         if lam <= 0:
             return True
@@ -173,6 +185,8 @@ class DomainMask:
     _boxes: list = field(default=None, init=False, repr=False)
     # boundary_length of every label for the mask's own samples
     _boundary_table: np.ndarray = field(default=None, init=False, repr=False)
+    # chained segment length of the contour that built _boundary_table
+    _contour_length: float = field(default=None, init=False, repr=False)
     # _ghost_table of field_values, shared by every walk and start check
     _interp_table: np.ndarray = field(default=None, init=False, repr=False)
     # label -> domain_inradius
@@ -231,7 +245,12 @@ def _solid_rectangle(box, cells: int, grid: GridSpec):
 
 
 def sample_field(model, grid: GridSpec) -> ScalarField:
-    """Sample u at every cell center; warns when the grid under-resolves lambda."""
+    """Sample u at every cell center; warns when the grid under-resolves lambda.
+
+    model.evaluate(x, y) gets the grid's axes (GridSpec.cell_center_axes),
+    not a mesh, so it must broadcast them as numpy does and return their
+    (ny, nx) broadcast shape.
+    """
     lam = getattr(model, "eigenvalue", 0.0)
     if lam and not grid.resolves_wavelength(lam):
         warnings.warn(
@@ -239,8 +258,8 @@ def sample_field(model, grid: GridSpec) -> ScalarField:
             f"{2 * np.pi / np.sqrt(lam):.4g} (need >= {WAVELENGTH_SAMPLES} samples)",
             ResolutionWarning,
         )
-    xs, ys = grid.cell_center_mesh()
-    return ScalarField(grid=grid, values=np.asarray(model.evaluate(xs, ys), dtype=float))
+    u = model.evaluate(*grid.cell_center_axes())
+    return ScalarField(grid=grid, values=np.asarray(u, dtype=float))
 
 
 def indicator_field(grid: GridSpec, inside) -> ScalarField:
@@ -532,16 +551,16 @@ def extract_nodal_set(field: ScalarField) -> NodalSet:
     return NodalSet(polylines=polylines, total_length=float(total), perturbed_zeros=n_pert)
 
 
-def _nodal_length(field: ScalarField) -> float:
-    """extract_nodal_set(field).total_length, without stitching polylines
-    where it can: on a fully periodic grid stitching adds no wall extension,
-    so the chained segment lengths are the whole total."""
-    grid = field.grid
+def _nodal_length(mask: DomainMask) -> float:
+    """extract_nodal_set's total_length for the mask's own samples.  On a
+    fully periodic grid stitching adds no wall extension, so the chained
+    segment lengths are the whole total, and the contour that builds the
+    boundary table gives them; a walled grid stitches the polylines."""
+    grid = mask.grid
     if not (grid.periodic_x and grid.periodic_y):
-        return extract_nodal_set(field).total_length
-    values, _ = _perturb_zeros(field.values)
-    pa, pb, *_ = _contour_segments(values, True, True)
-    return float(_chained_length(pa, pb) * grid.h)
+        return extract_nodal_set(ScalarField(grid=grid, values=mask.field_values)).total_length
+    _own_boundary_table(mask)
+    return float(mask._contour_length)
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +633,35 @@ def distance_to_boundary_map(mask: DomainMask, label: int) -> np.ndarray:
 
     Distances are measured between cell centers and corrected by half a
     cell so a boundary cell reports h/2; zero outside the domain.
+
+    The transform runs on the domain's box with a ring of outside cells
+    around it: every cell past the box is outside the domain, and clamping
+    one into the ringed box gives a ring cell no farther from any domain
+    cell, so the box gives each distance of a whole-grid transform.  A box
+    that spans a periodic axis, where the domain may wrap, is tiled three
+    times along it instead, as a whole periodic grid is.
     """
-    sel = mask.cells(label)
     grid = mask.grid
+    box = mask.box(label)
+    sel = mask.labels[box] == label
     inside = sel
-    if grid.periodic_y:
+    wrap_y = grid.periodic_y and sel.shape[0] == grid.ny
+    wrap_x = grid.periodic_x and sel.shape[1] == grid.nx
+    if wrap_y:
         inside = np.tile(inside, (3, 1))
     else:
         inside = np.pad(inside, ((1, 1), (0, 0)), constant_values=False)
-    if grid.periodic_x:
+    if wrap_x:
         inside = np.tile(inside, (1, 3))
     else:
         inside = np.pad(inside, ((0, 0), (1, 1)), constant_values=False)
     dist = ndimage.distance_transform_edt(inside)
-    y_off = grid.ny if grid.periodic_y else 1
-    x_off = grid.nx if grid.periodic_x else 1
-    core = dist[y_off:y_off + grid.ny, x_off:x_off + grid.nx]
-    out = np.where(sel, np.maximum(core - 0.5, 0.5) * grid.h, 0.0)
+    ny, nx = sel.shape
+    y_off = ny if wrap_y else 1
+    x_off = nx if wrap_x else 1
+    core = dist[y_off:y_off + ny, x_off:x_off + nx]
+    out = np.zeros((grid.ny, grid.nx))
+    out[box] = np.where(sel, np.maximum(core - 0.5, 0.5) * grid.h, 0.0)
     return out
 
 
@@ -679,22 +710,25 @@ def label_at(mask: DomainMask, x: float, y: float) -> int:
     return int(mask.labels[_cell_index(grid, x, y)])
 
 
-def _boundary_lengths(values: np.ndarray, mask: DomainMask) -> np.ndarray:
-    """Boundary length of every label of the mask from one contour of values.
+def _boundary_lengths(values: np.ndarray, mask: DomainMask):
+    """Boundary length of every label of the mask from one contour of values,
+    and that contour's chained length, _chained_length times h.
 
-    Returns an (n_labels + 1,) array; entry 0 is unused.  A segment bounds
-    each distinct label among the corners it borders, and counts once per
-    label.  Each label's segment lengths are added one at a time in segment
-    order, as _chained_length adds them, so every length is the one a
-    contour per label would give, to the last bit.
+    The lengths are an (n_labels + 1,) array; entry 0 is unused.  A segment
+    bounds each distinct label among the corners it borders, and counts
+    once per label.  Each label's segment lengths are added one at a time in
+    segment order, as _chained_length adds them, so every length is the one
+    a contour per label would give, to the last bit.
     """
     grid = mask.grid
     h = grid.h
     n = mask.n_labels + 1
     lengths = np.zeros(n)
+    chained = 0.0
     v, _ = _perturb_zeros(values)
     if v.any():
         pa, pb, _, _, cell, adjacent = _contour_segments(v, grid.periodic_x, grid.periodic_y)
+        chained = _chained_length(pa, pb) * h
         lab_sq = _wrap_pad(mask.labels, grid.periodic_x, grid.periodic_y)
         w = lab_sq.shape[1]
         corner = lab_sq.ravel()[cell[:, :1] * w + cell[:, 1:] + (_CORNER_DY * w + _CORNER_DX)]
@@ -719,7 +753,15 @@ def _boundary_lengths(values: np.ndarray, mask: DomainMask) -> np.ndarray:
     if not grid.periodic_x:
         lengths += (np.bincount(mask.labels[:, 0], minlength=n) * h
                     + np.bincount(mask.labels[:, -1], minlength=n) * h)
-    return lengths
+    return lengths, chained
+
+
+def _own_boundary_table(mask: DomainMask) -> np.ndarray:
+    """_boundary_lengths of the mask's own samples, built once and kept on
+    the mask with its contour's chained length."""
+    if mask._boundary_table is None:
+        mask._boundary_table, mask._contour_length = _boundary_lengths(mask.field_values, mask)
+    return mask._boundary_table
 
 
 def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = None) -> float:
@@ -737,10 +779,8 @@ def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = No
     if values.shape != mask.labels.shape:
         raise InvalidParameterError("field does not match the mask grid")
     if field is not None and not np.array_equal(values, mask.field_values):
-        return float(_boundary_lengths(values, mask)[label])
-    if mask._boundary_table is None:
-        mask._boundary_table = _boundary_lengths(values, mask)
-    return float(mask._boundary_table[label])
+        return float(_boundary_lengths(values, mask)[0][label])
+    return float(_own_boundary_table(mask)[label])
 
 
 # ---------------------------------------------------------------------------

@@ -200,16 +200,19 @@ def _absorbing_walk(walls, pos, dist, t: float, cfg: PathEnsembleConfig, stream,
     compacted in order.  Step k draws Normal(0, 2 dt) increments (m, d) for
     the m live paths, then, with cfg.bridge_correction, uniforms
     (m, n_uniform), from counter k of the stream keyed by cfg.seed
-    (_keyed_stream).  walls(new) maps a step's end points (m, d) to (dead,
-    dist, new): the endpoint kills, a tuple of each point's distance to each
-    wall, and the points, which it may remap; dist holds those distances at
-    pos.  With the bridge on and some wall, a step also kills on its first
-    uniform with the _bridge_crossing probability.  A path is killed at its
-    first dead step and ends there; end is the last point of paths live
-    after the steps.
+    (_keyed_stream).  walls(new, with_dist) maps a step's end points (m, d)
+    to (dead, dist, new): the endpoint kills, a tuple of each point's
+    distance to each wall (empty unless with_dist), and the points, which it
+    may remap; dist holds those distances at pos.  With the bridge on and
+    some wall, a step also kills on its first uniform with the
+    _bridge_crossing probability; only then does the engine ask for
+    distances.  A path is killed at its first dead step and ends there; end
+    is the last point of paths live after the steps.
     """
     n_steps, dt = _steps_for(t, cfg)
     bridge = cfg.bridge_correction and len(dist) > 0
+    if not bridge:
+        dist = ()
     n, d = pos.shape
     sigma = math.sqrt(2 * dt)
     killed = np.zeros(n, dtype=bool)
@@ -224,7 +227,7 @@ def _absorbing_walk(walls, pos, dist, t: float, cfg: PathEnsembleConfig, stream,
         new = rng.standard_normal((m, d))
         new *= sigma
         new += pos
-        dead, dist_new, new = walls(new)
+        dead, dist_new, new = walls(new, bridge)
         if bridge:
             u = rng.random((m, n_uniform))
             dead |= u[:, 0] < _bridge_crossing(dist, dist_new, dt)
@@ -289,15 +292,15 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
     held = []
     walled = not (grid.periodic_x and grid.periodic_y)    # else inside is all True
 
-    def walls(new):
+    def walls(new, with_dist):
         _wrap(new, grid)
         f, gx, gy, inside = held[:] = interpolate_with_gradient(table, grid, new)
-        d1 = _level_set_distance(f, gx, gy)
+        dist = (_level_set_distance(f, gx, gy),) if with_dist else ()
         f *= sign       # exact for sign = +-1
         dead = f <= 0
         if walled:
             dead |= np.logical_not(inside, out=inside)
-        return dead, (d1,), new
+        return dead, dist, new
 
     absorbed[live], pos[live] = _absorbing_walk(
         walls, pos[live], (_level_set_distance(f, gx, gy)[live],), t, cfg, _STREAMS["grid"])
@@ -395,12 +398,13 @@ def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
     infinite, and an infinite wall has no distance."""
     finite = [w for w in (hi, lo) if math.isfinite(w)]
 
-    def walls(new):
+    def walls(new, with_dist):
         x = new[:, 0]
-        return (x >= hi) | (x <= lo), tuple(np.abs(w - x) for w in finite), new
+        dist = tuple(np.abs(w - x) for w in finite) if with_dist else ()
+        return (x >= hi) | (x <= lo), dist, new
 
     pos = np.zeros((cfg.n_paths, 1))
-    stopped, _ = _absorbing_walk(walls, pos, walls(pos)[1], t, cfg, stream)
+    stopped, _ = _absorbing_walk(walls, pos, walls(pos, True)[1], t, cfg, stream)
     return stopped
 
 
@@ -487,15 +491,17 @@ def _wedge_walk(start: float, beta: float, t: float, cfg: PathEnsembleConfig):
     """
     ux, uy = math.cos(beta), math.sin(beta)
 
-    def walls(new):
+    def walls(new, with_dist):
         ax = new[:, 0]
         ay = np.abs(new[:, 1])
         dead = ay * ux - ax * uy > 0
-        return dead, _wedge_distances(ax, ay, np.sqrt(ax * ax + ay * ay), ux, uy), new
+        dist = (_wedge_distances(ax, ay, np.sqrt(ax * ax + ay * ay), ux, uy)
+                if with_dist else ())
+        return dead, dist, new
 
     pos = np.zeros((cfg.n_paths, 2))
     pos[:, 0] = start
-    return _absorbing_walk(walls, pos, walls(pos)[1], t, cfg, _STREAMS["wedge"],
+    return _absorbing_walk(walls, pos, walls(pos, True)[1], t, cfg, _STREAMS["wedge"],
                            n_uniform=2)
 
 

@@ -196,6 +196,84 @@ class TestNorms:
             nh.compute_norms(m, mask, label=99)
 
 
+AXES_MODELS = {
+    "torus": nh.make_torus_eigenfunction(2, 3),
+    "rectangle": nh.make_rectangle_eigenfunction(3, 2, 1.0, 0.7),
+    "disk-m0": nh.make_disk_eigenfunction(0, 2),
+    "disk-m1": nh.make_disk_eigenfunction(1, 2),
+    "disk-m2": nh.make_disk_eigenfunction(2, 1),
+    "cone": nh.make_cone_model(3),
+}
+
+
+class TestAxesEvaluation:
+    """Models are evaluated on the grid's axes, not on meshes; every result
+    equals the mesh evaluation bit for bit, on odd and even grids."""
+
+    @pytest.fixture(params=[(name, n) for name in AXES_MODELS for n in (47, 48)],
+                    ids=lambda p: f"{p[0]}-{p[1]}")
+    def case(self, request):
+        name, n = request.param
+        model = AXES_MODELS[name]
+        grid = nh.grid_for_model(model, n)
+        field = nh.sample_field(model, grid)
+        return model, grid, field, nh.label_nodal_domains(field)
+
+    def test_sample_field(self, case):
+        model, grid, field, _ = case
+        assert field.values.tobytes() == model.evaluate(*grid.cell_center_mesh()).tobytes()
+
+    def test_compute_norms(self, case):
+        model, grid, _, mask = case
+        xs, ys = grid.cell_center_mesh()
+
+        def ref(sel):
+            u = model.evaluate(xs[sel], ys[sel])
+            gx, gy = model.gradient(xs[sel], ys[sel])
+            return [float(np.sum(np.abs(u)) * grid.h ** 2).hex(), float(np.max(np.abs(u))).hex(),
+                    float(np.max(np.hypot(gx, gy))).hex()]
+
+        for lab in [None] + list(range(1, mask.n_labels + 1)):
+            norms = nh.compute_norms(model, mask, label=lab)
+            got = [norms.l1.hex(), norms.linf.hex(), norms.grad_linf.hex()]
+            assert got == ref(mask.labels > 0 if lab is None else mask.cells(lab)), lab
+
+    def test_dirichlet_semigroup_field(self, case):
+        # at t = 0 the field is the model on the domain and zero elsewhere
+        model, grid, _, mask = case
+        mesh = model.evaluate(*grid.cell_center_mesh())
+        for lab in range(1, mask.n_labels + 1):
+            sel = mask.cells(lab)
+            got = nh.dirichlet_semigroup_field(model, mask, lab, 0.0).values
+            assert got.tobytes() == np.where(sel, mesh, 0.0).tobytes(), lab
+
+    def test_axes_broadcast_to_the_mesh(self):
+        grid = nh.GridSpec(nx=5, ny=3, x0=-1.0, extent_x=5 / 3)
+        box = (slice(1, 3), slice(2, 5))
+        for b in (None, box):
+            x, y = grid.cell_center_axes(b)
+            xs, ys = grid.cell_center_mesh(b)
+            assert x.ndim == y.ndim == 2 and x.shape[0] == 1 and y.shape[1] == 1
+            assert np.array_equal(np.broadcast_to(x, xs.shape), xs)
+            assert np.array_equal(np.broadcast_to(y, ys.shape), ys)
+
+    def test_bessel_zero_computed_once(self, monkeypatch):
+        from nodalheat import fields
+        calls = []
+        inner = fields.special.jn_zeros
+        monkeypatch.setattr(fields.special, "jn_zeros",
+                            lambda m, k: calls.append((m, k)) or inner(m, k))
+        fields._bessel_zero.cache_clear()
+        model = nh.make_disk_eigenfunction(3, 2)
+        grid = nh.grid_for_model(model, 16)
+        x, y = grid.cell_center_axes()
+        for _ in range(3):
+            model.evaluate(x, y)
+            model.gradient(x, y)
+        assert calls == [(3, 2)]
+        assert model.eigenvalue == float(inner(3, 2)[-1] ** 2)
+
+
 def _norm_masks():
     """(model, mask) pairs whose domains sit anywhere in the grid: torus
     cells, Dirichlet and disk modes (the disk's labels include the corner

@@ -497,7 +497,7 @@ class TestSemigroup:
 
             def evaluate(self, x, y):
                 from nodalheat.nodal import interpolate_with_gradient
-                pts = np.stack([np.asarray(x), np.asarray(y)], axis=-1)
+                pts = np.stack(np.broadcast_arrays(x, y), axis=-1)
                 f, _, _, _ = interpolate_with_gradient(half.values, mask.grid, pts)
                 return f
 

@@ -359,15 +359,16 @@ class TestContourPinning:
 
 
 class TestNodalLength:
-    """_nodal_length is extract_nodal_set's total_length bit for bit, and
-    stitches no polylines on a fully periodic grid."""
+    """_nodal_length of a mask is extract_nodal_set's total_length of its
+    samples bit for bit, and stitches no polylines on a fully periodic grid."""
 
     @pytest.mark.parametrize("seed, periodic", [
         (20260808, (False, False)), (20260809, (True, False)),
         (20260810, (False, True)), (20260811, (True, True))])
     def test_matches_extracted_total(self, seed, periodic):
         field = _random_field(seed, *periodic)
-        assert nh.nodal._nodal_length(field).hex() == nh.extract_nodal_set(field).total_length.hex()
+        mask = nh.label_nodal_domains(field)
+        assert nh.nodal._nodal_length(mask).hex() == nh.extract_nodal_set(field).total_length.hex()
 
     def test_torus_stitches_nothing(self, monkeypatch):
         model = nh.make_torus_eigenfunction(2, 3)
@@ -379,9 +380,83 @@ class TestNodalLength:
             raise AssertionError("polylines stitched")
 
         monkeypatch.setattr(nh.nodal, "_stitch_polylines", refuse)
-        assert [nh.nodal._nodal_length(f) for f in (field, zero)] == expected
+        assert [nh.nodal._nodal_length(nh.label_nodal_domains(f))
+                for f in (field, zero)] == expected
         rep = theorem1_certificate(model, field.grid, n_steps=24)
         assert rep.constants["nodal_length"] == expected[0]
+
+    @pytest.mark.parametrize("model", [nh.make_torus_eigenfunction(m, m) for m in (1, 2, 3, 4)]
+                             + [nh.make_rectangle_eigenfunction(3, 2, 1.0, 0.7)],
+                             ids=["torus1", "torus2", "torus3", "torus4", "rect"])
+    def test_certificate_length_is_extracted_total(self, model):
+        # theorem1_certificate takes the length from the contour that builds
+        # the boundary table on a torus, and stitches it on a walled grid
+        grid = nh.grid_for_model(model, 64)
+        rep = theorem1_certificate(model, grid, n_steps=24)
+        total = nh.extract_nodal_set(nh.sample_field(model, grid)).total_length
+        assert rep.constants["nodal_length"].hex() == total.hex()
+
+
+def _whole_grid_edt(mask, label):
+    """distance_to_boundary_map as a transform of the whole grid, tiled 3 x 3
+    on periodic axes and padded by an outside cell on walled ones."""
+    sel = mask.cells(label)
+    grid = mask.grid
+    inside = (np.tile(sel, (3, 1)) if grid.periodic_y
+              else np.pad(sel, ((1, 1), (0, 0)), constant_values=False))
+    inside = (np.tile(inside, (1, 3)) if grid.periodic_x
+              else np.pad(inside, ((0, 0), (1, 1)), constant_values=False))
+    dist = nh.nodal.ndimage.distance_transform_edt(inside)
+    y_off = grid.ny if grid.periodic_y else 1
+    x_off = grid.nx if grid.periodic_x else 1
+    core = dist[y_off:y_off + grid.ny, x_off:x_off + grid.nx]
+    return np.where(sel, np.maximum(core - 0.5, 0.5) * grid.h, 0.0)
+
+
+def _edt_masks():
+    """Masks whose domains touch walls, cross a periodic seam on one axis or
+    both, or span a periodic axis whole."""
+    def sampled(model, n):
+        return nh.label_nodal_domains(nh.sample_field(model, nh.grid_for_model(model, n)))
+
+    torus = nh.GridSpec(nx=64, ny=64, periodic_x=True, periodic_y=True)
+    strip = nh.GridSpec(nx=40, ny=56, extent_x=40 / 56, periodic_y=True)
+    return {
+        "torus": sampled(nh.make_torus_eigenfunction(2, 3), 64),
+        "rectangle": sampled(nh.make_rectangle_eigenfunction(3, 2, 1.0, 0.7), 61),
+        "disk": sampled(nh.make_disk_eigenfunction(2, 1), 64),
+        # a band across the x seam whose box is the whole width
+        "band": nh.label_nodal_domains(nh.indicator_field(
+            torus, lambda x, y: (x < 0.2) | (x > 0.85))),
+        # a blob across both seams at the corner, and the rest of the torus
+        "corner": nh.label_nodal_domains(nh.indicator_field(
+            torus, lambda x, y: np.minimum(x, 1 - x) ** 2 + np.minimum(y, 1 - y) ** 2 < 0.1)),
+        # pieces across the y seam between walls on x
+        "strip": nh.label_nodal_domains(nh.indicator_field(
+            strip, lambda x, y: np.sin(9 * x) * np.cos(2 * np.pi * y) > 0.2)),
+    }
+
+
+class TestBoxEdt:
+    """distance_to_boundary_map transforms the domain's box, and equals the
+    whole-grid transform bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_edt_masks()))
+    def test_matches_whole_grid(self, name):
+        mask = _edt_masks()[name]
+        assert mask.n_labels >= 2
+        for k in range(1, mask.n_labels + 1):
+            got = nh.nodal.distance_to_boundary_map(mask, k)
+            assert got.tobytes() == _whole_grid_edt(mask, k).tobytes(), (name, k)
+
+    def test_seam_domains_present(self):
+        # the cases above hold domains whose boxes span a periodic axis
+        masks = _edt_masks()
+        for name, axis in (("band", 1), ("corner", 0), ("corner", 1), ("strip", 0)):
+            mask = masks[name]
+            n = (mask.grid.ny, mask.grid.nx)[axis]
+            assert any(mask.box(k)[axis] == slice(0, n)
+                       for k in range(1, mask.n_labels + 1)), (name, axis)
 
 
 @pytest.fixture
@@ -414,8 +489,8 @@ class TestBoundaryTable:
             rep = theorem1_certificate(model, nh.grid_for_model(model, 64), n_steps=24)
             assert rep.constants["n_domains"] == 4 * m * m
             per_field.append(len(contour_calls))
-        # the nodal set once, every boundary length once
-        assert per_field[0] == per_field[1] <= 2
+        # one contour gives the nodal length and every boundary length
+        assert per_field == [1, 1]
 
     def test_repeated_calls_contour_once(self, contour_calls):
         _, field, mask = self._torus(2)

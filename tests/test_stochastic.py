@@ -523,6 +523,46 @@ class TestEngineWalkBytes:
         assert h.hexdigest()[:16] == self.PINNED[(name, n_paths, bridge)]
 
 
+class TestDistancesOnlyForTheBridge:
+    """The engine asks a walk for wall distances only when the bridge test
+    reads them; a bridge-off walk computes them once, for its starts."""
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_engine_asks_only_with_the_bridge(self, bridge):
+        asked = []
+
+        def walls(new, with_dist):
+            asked.append(with_dist)
+            x = new[:, 0]
+            return x >= 0.1, ((0.1 - x),) if with_dist else (), new
+
+        cfg = PathEnsembleConfig(n_paths=500, dt=1e-4, seed=3, bridge_correction=bridge)
+        nh.stochastic._absorbing_walk(walls, np.zeros((500, 1)), (np.full(500, 0.1),),
+                                      0.01, cfg, _STREAMS["line"])
+        assert asked and set(asked) == {bridge}
+
+    @pytest.mark.parametrize("bridge", [True, False])
+    def test_grid_and_wedge_walks(self, monkeypatch, bridge):
+        calls = {}
+        for name in ("_level_set_distance", "_wedge_distances"):
+            inner = getattr(nh.stochastic, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args)
+
+            monkeypatch.setattr(nh.stochastic, name, counted)
+        m = nh.make_torus_eigenfunction(1, 1)
+        mask = nh.label_nodal_domains(nh.sample_field(m, nh.grid_for_model(m, 32)))
+        cfg = PathEnsembleConfig(n_paths=200, dt=1e-4, seed=5, bridge_correction=bridge)
+        _walk_in_domain(_field_table(mask), mask.grid, 1, np.full((200, 2), 0.25), 0.01, cfg)
+        _wedge_walk(0.1, math.pi / 4, 0.01, cfg)
+        if bridge:
+            assert calls["_level_set_distance"] > 1 and calls["_wedge_distances"] > 1
+        else:
+            assert calls == {"_level_set_distance": 1, "_wedge_distances": 1}
+
+
 def _estimate_cases():
     """(model, mask, label, start) of each pinned estimate."""
     torus = nh.make_torus_eigenfunction(1, 1)
