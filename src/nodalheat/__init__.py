@@ -17,6 +17,7 @@ from .fields import (
     EigenfunctionModel,
     NormBundle,
     compute_norms,
+    domain_norms,
     make_cone_model,
     make_disk_eigenfunction,
     make_rectangle_eigenfunction,

@@ -16,7 +16,12 @@ import numpy as np
 from scipy import special
 
 from .errors import EmptyDomainError, InvalidParameterError
-from .fields import EigenfunctionModel, compute_norms, make_rectangle_eigenfunction
+from .fields import (
+    EigenfunctionModel,
+    compute_norms,
+    domain_norms,
+    make_rectangle_eigenfunction,
+)
 from .heat import heat_content, heat_content_curve, solve_hitting_field
 from .nodal import (
     DomainMask,
@@ -300,8 +305,7 @@ def theorem1_certificate(model: EigenfunctionModel, grid: GridSpec,
     sum_l1_sup = 0.0
     sum_boundary = 0.0
     ratios = []
-    for label in range(1, mask.n_labels + 1):
-        norms = compute_norms(model, mask, label=label)
+    for label, norms in enumerate(domain_norms(model, mask), start=1):
         lhs = heat_content(mask, label, t, n_steps)
         rhs = (1 - math.exp(-lam * t)) / math.sqrt(t) * norms.l1 / norms.grad_linf
         blen = boundary_length(mask, label)

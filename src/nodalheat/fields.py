@@ -27,6 +27,7 @@ __all__ = [
     "make_disk_eigenfunction",
     "make_cone_model",
     "compute_norms",
+    "domain_norms",
 ]
 
 TORUS = "torus_product"
@@ -211,6 +212,21 @@ def make_cone_model(k: int) -> EigenfunctionModel:
     return EigenfunctionModel(CONE, (int(k),), (), 0.0)
 
 
+def _norm_bundle(abs_u, abs_grad, sel, cell_area) -> NormBundle:
+    """Norms of the cells that sel picks from |u| and |grad u|, in raster
+    order: the one reduction every norm here goes through."""
+    if not sel.any():
+        raise EmptyDomainError("mask selects no cells")
+    u = abs_u[sel]
+    return NormBundle(l1=float(np.sum(u) * cell_area), linf=float(np.max(u)),
+                      grad_linf=float(np.max(abs_grad[sel])))
+
+
+def _abs_and_grad(model: EigenfunctionModel, x, y):
+    """|u| and |grad u| of the model on axes (GridSpec.cell_center_axes)."""
+    return np.abs(model.evaluate(x, y)), np.hypot(*model.gradient(x, y))
+
+
 def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
     """Midpoint-rule L1 and grid suprema of |u| and |grad u| over mask cells.
 
@@ -221,7 +237,7 @@ def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
     a mesh, and broadcasts them, as every model here does; the selection
     keeps the raster order, so the sums and maxima see the values that a
     full-grid selection gives, in the same order, and return the same
-    bytes.
+    bytes.  For every label at once, domain_norms evaluates the model once.
     """
     grid = mask.grid
     if label is None:
@@ -229,13 +245,25 @@ def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
     else:
         box = mask.box(label)
         sel = mask.labels[box] == label
-    if not sel.any():
-        raise EmptyDomainError("mask selects no cells")
-    x, y = grid.cell_center_axes(box)
-    u = model.evaluate(x, y)[sel]
-    gx, gy = (g[sel] for g in model.gradient(x, y))
+    abs_u, abs_grad = _abs_and_grad(model, *grid.cell_center_axes(box))
+    return _norm_bundle(abs_u, abs_grad, sel, grid.h ** 2)
+
+
+def domain_norms(model: EigenfunctionModel, mask) -> list:
+    """compute_norms(model, mask, label=k) for every label k, as a list whose
+    item k - 1 is label k's, bit for bit.
+
+    |u| and |grad u| are evaluated once on the grid's axes, and each label
+    is reduced over its box (mask.box) in raster order, so a domain costs
+    its box, not a model evaluation.  A label without cells raises
+    EmptyDomainError, as compute_norms does.
+    """
+    grid = mask.grid
+    abs_u, abs_grad = _abs_and_grad(model, *grid.cell_center_axes())
     cell_area = grid.h ** 2
-    l1 = float(np.sum(np.abs(u)) * cell_area)
-    linf = float(np.max(np.abs(u)))
-    grad_linf = float(np.max(np.hypot(gx, gy)))
-    return NormBundle(l1=l1, linf=linf, grad_linf=grad_linf)
+    out = []
+    for label in range(1, mask.n_labels + 1):
+        box = mask.box(label)
+        out.append(_norm_bundle(abs_u[box], abs_grad[box], mask.labels[box] == label,
+                                cell_area))
+    return out

@@ -572,33 +572,42 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
 
     Exact-zero cells join no domain.  On periodic axes components merge
     across the seam.
+
+    Every pass runs over the whole field in int32: the negative components
+    are numbered after the positive ones in ndimage.label's own array, a
+    root table merges the seams, and one np.minimum.at finds each root's
+    first raster cell.  Each intermediate is dropped once it is used, so
+    the peak allocation is about twice the field's bytes, the returned
+    mask's labels and copy of the samples included.
     """
     grid = field.grid
     v = field.values
+    n = v.size
     pos = v > 0
     neg = v < 0
-    zero_cells = int((~pos & ~neg).sum())
+    zero_cells = n - int(np.count_nonzero(pos)) - int(np.count_nonzero(neg))
 
-    lab_pos, n_pos = ndimage.label(pos)
+    combined, n_pos = ndimage.label(pos)
     lab_neg, n_neg = ndimage.label(neg)
-    combined = lab_pos.astype(np.int64)
-    combined[neg] = lab_neg[neg] + n_pos
+    np.add(lab_neg, n_pos, out=combined, where=neg)
+    del lab_neg
     n_raw = n_pos + n_neg
 
     # periodic axes: one graph edge per same-sign cell pair across the seam
-    edges = [np.zeros((2, 0), dtype=np.int64)]
+    edges = [np.zeros((2, 0), dtype=combined.dtype)]
     if grid.periodic_x and grid.nx > 1:
         same_sign = (pos[:, 0] & pos[:, -1]) | (neg[:, 0] & neg[:, -1])
         edges.append(np.stack([combined[same_sign, 0], combined[same_sign, -1]]))
     if grid.periodic_y and grid.ny > 1:
         same_sign = (pos[0, :] & pos[-1, :]) | (neg[0, :] & neg[-1, :])
         edges.append(np.stack([combined[0, same_sign], combined[-1, same_sign]]))
+    del pos, neg
     a, b = np.concatenate(edges, axis=1)
 
     # components of that graph: hook each root to the smallest root it meets,
     # then compress to roots, until every edge joins one root; pointers only
     # ever decrease, and raw label 0 (exact zeros) is on no edge
-    root = np.arange(n_raw + 1)
+    root = np.arange(n_raw + 1, dtype=np.int32)
     while True:
         ra, rb = root[a], root[b]
         split = ra != rb
@@ -607,17 +616,21 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
         np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
         while not np.array_equal(root[root], root):
             root = root[root]
-    merged = root[combined].ravel()
+    merged = root.take(combined.ravel())
+    del combined
 
-    # canonical relabel: order by first raster occurrence
-    found, first = np.unique(merged, return_index=True)
-    in_domain = found > 0
-    order = np.argsort(first[in_domain])
-    first_idx = first[in_domain][order]
-    n_labels = int(first_idx.size)
+    # canonical relabel: order roots by their first raster cell; a minimum
+    # is well defined where the winner of repeated fancy writes is not
+    first = np.full(n_raw + 1, n, dtype=np.int32)
+    np.minimum.at(first, merged, np.arange(n, dtype=np.int32))
+    roots = np.flatnonzero(first[1:] < n) + 1
+    roots = roots[np.argsort(first[roots])]
+    first_idx = first[roots]
+    n_labels = int(roots.size)
     relabel = np.zeros(n_raw + 1, dtype=np.int32)
-    relabel[found[in_domain][order]] = np.arange(1, n_labels + 1, dtype=np.int32)
-    labels = relabel[merged].reshape(v.shape)
+    relabel[roots] = np.arange(1, n_labels + 1, dtype=np.int32)
+    labels = relabel.take(merged).reshape(v.shape)
+    del merged
 
     signs = np.zeros(n_labels + 1, dtype=np.int8)
     signs[1:] = np.where(v.ravel()[first_idx] > 0, 1, -1)

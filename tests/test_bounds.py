@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -100,6 +101,88 @@ class TestTheorem1:
             assert c["certificate_sup_form"] <= c["nodal_length"]
             assert c["certificate_sup_form"] == pytest.approx(
                 8 * math.sqrt(2) * m / np.pi, rel=0.01)
+
+
+class TestTheorem1Bytes:
+    """float.hex of every constant and sha256 of the per-domain table of
+    theorem1_certificate, recorded when each domain's norms still came from
+    its own model evaluation; one whole-field evaluation must reproduce
+    them."""
+
+    PINNED = {
+        "torus:1,1": (
+            {"nodal_length": "0x1.0000000000000p+2",
+             "sum_boundary_lengths": "0x1.0000000000000p+3",
+             "certificate_sup_form": "0x1.cd0df55b26209p+1",
+             "certificate_grad_form": "0x1.4603c875197afp+2",
+             "ratio_min": "0x1.0b7c142190924p+1",
+             "ratio_max": "0x1.0b7c142190925p+1",
+             "n_domains": 4},
+            "60ae37e1afb24a365db50b535109db4c861911c5098ae1de58d1116af89a6917"),
+        "torus:2,2": (
+            {"nodal_length": "0x1.0000000000000p+3",
+             "sum_boundary_lengths": "0x1.0000000000000p+4",
+             "certificate_sup_form": "0x1.cd55165f105c7p+2",
+             "certificate_grad_form": "0x1.4636108932c63p+3",
+             "ratio_min": "0x1.0b4849cd7bafbp+1",
+             "ratio_max": "0x1.0b4849cd7bafbp+1",
+             "n_domains": 16},
+            "e29456921b40b0b1b84c706e42bed5810ce1ac3197d66bb623caed14ad671c90"),
+        "torus:3,3": (
+            {"nodal_length": "0x1.7f662a5a3a980p+3",
+             "sum_boundary_lengths": "0x1.82cc54b4752fep+4",
+             "certificate_sup_form": "0x1.59ee09e59ed3fp+3",
+             "certificate_grad_form": "0x1.e948bcb561fa2p+3",
+             "ratio_min": "0x1.052975222323ap+1",
+             "ratio_max": "0x1.0e29e574f14e4p+1",
+             "n_domains": 36},
+            "fd60d472fe56e5b85c6cc9c3b4c6dd91b6742189b8efb989db08faa5a6535090"),
+        "torus:4,4": (
+            {"nodal_length": "0x1.0000000000000p+4",
+             "sum_boundary_lengths": "0x1.0000000000000p+5",
+             "certificate_sup_form": "0x1.ce721e3edb256p+3",
+             "certificate_grad_form": "0x1.46ff62159a88bp+4",
+             "ratio_min": "0x1.0a79807b463cdp+1",
+             "ratio_max": "0x1.0a79807b463d1p+1",
+             "n_domains": 64},
+            "9d0dbb3b5882521eb77ea13c79ddaa7252ec87d2d1ad6ea4a8ae5d4584319d0f"),
+        "rect:2,3,1,1.5": (
+            {"nodal_length": "0x1.c0c0c0c0c0c0cp+1",
+             "sum_boundary_lengths": "0x1.8000000000000p+3",
+             "certificate_sup_form": "0x1.59c2c5581ea12p+2",
+             "certificate_grad_form": "0x1.e8f3aa795dfe3p+2",
+             "ratio_min": "0x1.0704d92248dc2p+1",
+             "ratio_max": "0x1.0faf24122a687p+1",
+             "n_domains": 6},
+            "98a291e77a5e6f376fffb6b4923b6e52348a20b10329fcc5e9e949f9a3e05123"),
+        "disk:2,1": (
+            {"nodal_length": "0x1.50ff49c63ae06p+3",
+             "sum_boundary_lengths": "0x1.ce2b35f96af88p+4",
+             "certificate_sup_form": "0x1.dcf358407ffc9p+2",
+             "certificate_grad_form": "0x1.26ced22f8ddd6p+3",
+             "ratio_min": "0x1.188f95d499659p+1",
+             "ratio_max": "0x1.97d0f0bdafa75p+3",
+             "n_domains": 7},
+            "0ef989f02a511fe939091007e53d0ae26da02c8508e1890a31cac5d39ef3680f"),
+    }
+    CASES = {
+        "torus:1,1": (nh.make_torus_eigenfunction(1, 1), 256),
+        "torus:2,2": (nh.make_torus_eigenfunction(2, 2), 256),
+        "torus:3,3": (nh.make_torus_eigenfunction(3, 3), 256),
+        "torus:4,4": (nh.make_torus_eigenfunction(4, 4), 256),
+        "rect:2,3,1,1.5": (nh.make_rectangle_eigenfunction(2, 3, 1.0, 1.5), 128),
+        "disk:2,1": (nh.make_disk_eigenfunction(2, 1), 64),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_report_pinned(self, name):
+        model, n = self.CASES[name]
+        rep = theorem1_certificate(model, nh.grid_for_model(model, n), n_steps=96)
+        constants, domains_sha = self.PINNED[name]
+        got = {k: v.hex() if isinstance(v, float) else v for k, v in rep.constants.items()}
+        assert got == constants
+        table = np.ascontiguousarray(rep.curves["domains"])
+        assert hashlib.sha256(table.tobytes()).hexdigest() == domains_sha
 
 
 class TestMaxPoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nodalheat as nh
-from nodalheat.errors import InvalidParameterError
+from nodalheat.errors import EmptyDomainError, InvalidParameterError
 
 
 def five_point_residual(model, n):
@@ -195,6 +195,21 @@ class TestNorms:
         with pytest.raises(Exception):
             nh.compute_norms(m, mask, label=99)
 
+    def test_label_without_cells_errors(self):
+        # a mask that declares one more label than it has cells for
+        m = nh.make_torus_eigenfunction(1, 1)
+        grid = nh.grid_for_model(m, 32)
+        mask = nh.label_nodal_domains(nh.sample_field(m, grid))
+        k = mask.n_labels + 1
+        padded = nh.DomainMask(grid=grid, labels=mask.labels,
+                               signs=np.append(mask.signs, 1),
+                               areas=np.append(mask.areas, 0.0),
+                               field_values=mask.field_values, n_labels=k)
+        with pytest.raises(EmptyDomainError):
+            nh.compute_norms(m, padded, label=k)
+        with pytest.raises(EmptyDomainError):
+            nh.domain_norms(m, padded)
+
 
 AXES_MODELS = {
     "torus": nh.make_torus_eigenfunction(2, 3),
@@ -233,10 +248,17 @@ class TestAxesEvaluation:
             return [float(np.sum(np.abs(u)) * grid.h ** 2).hex(), float(np.max(np.abs(u))).hex(),
                     float(np.max(np.hypot(gx, gy))).hex()]
 
+        def hexes(norms):
+            return [norms.l1.hex(), norms.linf.hex(), norms.grad_linf.hex()]
+
+        # domain_norms evaluates the model once and gives every label's bundle
+        every = nh.domain_norms(model, mask)
+        assert len(every) == mask.n_labels
         for lab in [None] + list(range(1, mask.n_labels + 1)):
-            norms = nh.compute_norms(model, mask, label=lab)
-            got = [norms.l1.hex(), norms.linf.hex(), norms.grad_linf.hex()]
-            assert got == ref(mask.labels > 0 if lab is None else mask.cells(lab)), lab
+            want = ref(mask.labels > 0 if lab is None else mask.cells(lab))
+            assert hexes(nh.compute_norms(model, mask, label=lab)) == want, lab
+            if lab is not None:
+                assert hexes(every[lab - 1]) == want, lab
 
     def test_dirichlet_semigroup_field(self, case):
         # at t = 0 the field is the model on the domain and zero elsewhere

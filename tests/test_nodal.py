@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,48 @@ from conftest import ConstantModel
 def linear_field(grid, a=1.0, b=0.0, c=-0.3):
     xs, ys = grid.cell_center_mesh()
     return nh.ScalarField(grid=grid, values=a * xs + b * ys + c)
+
+
+PERIODICITIES = [(False, False), (True, False), (True, True), (False, True)]
+
+
+def _assert_flood_fill_labels(v, periodic):
+    """Label v and check labels, signs and areas against a plain flood fill
+    that numbers the domains in raster order of their first cell."""
+    ny, nx = v.shape
+    grid = nh.GridSpec(nx=nx, ny=ny, extent_x=nx / ny, periodic_x=periodic[0],
+                       periodic_y=periodic[1])
+    mask = nh.label_nodal_domains(nh.ScalarField(grid=grid, values=v))
+
+    ref = np.zeros((ny, nx), dtype=np.int32)
+    signs, counts = [0], [0]
+    for iy in range(ny):
+        for ix in range(nx):
+            if v[iy, ix] == 0 or ref[iy, ix]:
+                continue
+            sgn = 1 if v[iy, ix] > 0 else -1
+            signs.append(sgn)
+            counts.append(0)
+            ref[iy, ix] = len(signs) - 1
+            stack = [(iy, ix)]
+            while stack:
+                cy, cx = stack.pop()
+                counts[-1] += 1
+                for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    qy, qx = cy + dy, cx + dx
+                    if periodic[0]:
+                        qx %= nx
+                    if periodic[1]:
+                        qy %= ny
+                    if (0 <= qy < ny and 0 <= qx < nx and not ref[qy, qx]
+                            and v[qy, qx] * sgn > 0):
+                        ref[qy, qx] = len(signs) - 1
+                        stack.append((qy, qx))
+    assert np.array_equal(mask.labels, ref)
+    assert mask.labels.dtype == np.int32
+    assert mask.signs.tolist() == signs
+    assert mask.areas.tolist() == [c * grid.h ** 2 for c in counts]
+    return mask
 
 
 class TestSampling:
@@ -154,46 +197,49 @@ class TestLabeling:
                       mask.labels[f.values > 0]}
         assert len(pos_labels) == 1
 
-    @pytest.mark.parametrize("periodic", [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("periodic", PERIODICITIES)
     def test_matches_flood_fill_reference(self, periodic):
         # labels, signs and areas equal a plain flood fill that numbers the
         # domains in raster order of their first cell, seams included
         ny, nx = 24, 36
-        grid = nh.GridSpec(nx=nx, ny=ny, extent_x=1.5, periodic_x=periodic[0],
-                           periodic_y=periodic[1])
         rng = np.random.default_rng(11)
         v = rng.standard_normal((ny, nx))
         v[rng.random((ny, nx)) < 0.05] = 0.0
-        mask = nh.label_nodal_domains(nh.ScalarField(grid=grid, values=v))
+        _assert_flood_fill_labels(v, periodic)
 
-        ref = np.zeros((ny, nx), dtype=np.int32)
-        signs, counts = [0], [0]
-        for iy in range(ny):
-            for ix in range(nx):
-                if v[iy, ix] == 0 or ref[iy, ix]:
-                    continue
-                sgn = 1 if v[iy, ix] > 0 else -1
-                signs.append(sgn)
-                counts.append(0)
-                ref[iy, ix] = len(signs) - 1
-                stack = [(iy, ix)]
-                while stack:
-                    cy, cx = stack.pop()
-                    counts[-1] += 1
-                    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        qy, qx = cy + dy, cx + dx
-                        if periodic[0]:
-                            qx %= nx
-                        if periodic[1]:
-                            qy %= ny
-                        if (0 <= qy < ny and 0 <= qx < nx and not ref[qy, qx]
-                                and v[qy, qx] * sgn > 0):
-                            ref[qy, qx] = len(signs) - 1
-                            stack.append((qy, qx))
-        assert np.array_equal(mask.labels, ref)
-        assert mask.labels.dtype == np.int32
-        assert mask.signs.tolist() == signs
-        assert mask.areas.tolist() == [c * grid.h ** 2 for c in counts]
+    @pytest.mark.parametrize("periodic", PERIODICITIES)
+    def test_many_domains_match_flood_fill_reference(self, periodic):
+        # several hundred domains: first-cell ordering across many roots,
+        # and seam merges on every periodic axis
+        ny, nx = 60, 80
+        rng = np.random.default_rng(2026)
+        v = rng.standard_normal((ny, nx))
+        v[rng.random((ny, nx)) < 0.02] = 0.0
+        mask = _assert_flood_fill_labels(v, periodic)
+        assert mask.n_labels >= 300
+        open_labels = nh.label_nodal_domains(nh.ScalarField(
+            grid=nh.GridSpec(nx=nx, ny=ny, extent_x=nx / ny), values=v)).labels
+        for axis, wraps in ((1, periodic[0]), (0, periodic[1])):
+            if wraps:
+                # some same-sign pair across this seam is one domain that
+                # the open grid splits in two
+                same_sign = np.take(v, 0, axis) * np.take(v, -1, axis) > 0
+                joined = np.take(mask.labels, 0, axis) == np.take(mask.labels, -1, axis)
+                split = np.take(open_labels, 0, axis) != np.take(open_labels, -1, axis)
+                assert np.any(same_sign & joined & split)
+
+    def test_label_peak_memory(self):
+        # whole-field int32 passes: the peak allocation stays near 2x the
+        # field's float64 bytes, the mask's labels and sample copy included
+        model = nh.make_torus_eigenfunction(4, 4)
+        field = nh.sample_field(model, nh.grid_for_model(model, 512))
+        tracemalloc.start()
+        try:
+            nh.label_nodal_domains(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * field.values.nbytes, peak / field.values.nbytes
 
     def test_unknown_label(self, torus11_mask_128):
         _, mask = torus11_mask_128
