@@ -16,7 +16,6 @@ from .errors import (
 from .fields import (
     EigenfunctionModel,
     NormBundle,
-    compute_norms,
     domain_norms,
     make_cone_model,
     make_disk_eigenfunction,

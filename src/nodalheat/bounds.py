@@ -18,7 +18,6 @@ from scipy import special
 from .errors import EmptyDomainError, InvalidParameterError
 from .fields import (
     EigenfunctionModel,
-    compute_norms,
     domain_norms,
     make_rectangle_eigenfunction,
 )
@@ -186,8 +185,7 @@ def _interior_points(dist: np.ndarray, grid: GridSpec, count: int, seed: int):
         raise EmptyDomainError("domain has no cells away from its boundary")
     rng = _step_rng(seed, _STREAMS["points"], 0)
     pick = rng.choice(iy.size, size=min(count, iy.size), replace=False)
-    xs = grid.x0 + (ix[pick] + 0.5) * grid.h
-    ys = grid.y0 + (iy[pick] + 0.5) * grid.h
+    xs, ys = grid.cell_center(iy[pick], ix[pick])
     return [(float(x), float(y)) for x, y in zip(xs, ys)]
 
 
@@ -218,7 +216,7 @@ def _field_argmax(mask: DomainMask, label: int):
     vals = np.where(sel, mask.sign(label) * mask.field_values, -np.inf)
     iy, ix = np.unravel_index(int(np.argmax(vals)), vals.shape)
     grid = mask.grid
-    return (grid.x0 + (ix + 0.5) * grid.h, grid.y0 + (iy + 0.5) * grid.h), (iy, ix)
+    return grid.cell_center(iy, ix), (iy, ix)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +236,7 @@ def check_comparison_lemma(model: EigenfunctionModel, mask: DomainMask, label: i
     dist_map = distance_to_boundary_map(mask, label)
     if points is None:
         points = _interior_points(dist_map, grid, 10, cfg.seed)
-    norms = compute_norms(model, mask, label=label)
+    norms = domain_norms(model, mask)[label - 1]
 
     rep = ExperimentReport(
         name="comparison-lemma",
@@ -936,7 +934,7 @@ def global_survival_field(model: EigenfunctionModel, grid: GridSpec,
     inf_val = float(values[labeled].min())
     iy, ix = np.unravel_index(int(np.argmin(np.where(labeled, values, np.inf))),
                               values.shape)
-    loc = (grid.x0 + (ix + 0.5) * grid.h, grid.y0 + (iy + 0.5) * grid.h)
+    loc = grid.cell_center(iy, ix)
 
     rep = ExperimentReport(
         name="global-survival",
@@ -990,24 +988,25 @@ def ball_intersection_search(mask: DomainMask, label: int, t: float,
     radius = math.sqrt(t)
     if radius < grid.h:
         raise InvalidParameterError("sqrt(t) must be at least one cell")
-    sel = mask.cells(label).astype(float)
     kern = _disk_kernel(radius / grid.h)
-    if grid.periodic_x and grid.periodic_y:
-        pad = np.zeros_like(sel)
-        ky, kx = kern.shape
-        oy, ox = ky // 2, kx // 2
-        ys = (np.arange(ky) - oy) % grid.ny
-        xs = (np.arange(kx) - ox) % grid.nx
-        pad[np.ix_(ys, xs)] += kern
-        overlap = np.real(np.fft.ifft2(np.fft.fft2(sel) * np.fft.fft2(pad)))
-    else:
-        from scipy.signal import fftconvolve
-        overlap = fftconvolve(sel, kern, mode="same")
-    overlap *= grid.h ** 2
+    ky, kx = kern.shape
+    oy, ox = ky // 2, kx // 2
+    # a circular convolution wraps the periodic axes; each walled axis is
+    # zero-padded by the kernel's half-width first, so nothing wraps there
+    py = 0 if grid.periodic_y else oy
+    px = 0 if grid.periodic_x else ox
+    sel = np.pad(mask.cells(label).astype(float), ((py, py), (px, px)))
+    wrapped = np.zeros_like(sel)
+    ys = (np.arange(ky) - oy) % sel.shape[0]
+    xs = (np.arange(kx) - ox) % sel.shape[1]
+    wrapped[np.ix_(ys, xs)] += kern
+    overlap = np.real(np.fft.ifft2(np.fft.fft2(sel) * np.fft.fft2(wrapped)))
+    overlap = overlap[py:py + grid.ny, px:px + grid.nx] * grid.h ** 2
     ball_area = float(kern.sum()) * grid.h ** 2     # discrete |B|, ~ pi t
     ratio = overlap / ball_area
     best = float(ratio.max())
     iy, ix = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    argmax_x, argmax_y = grid.cell_center(iy, ix)
 
     content = heat_content(mask, label, t, n_steps)
     perim = boundary_length(mask, label)
@@ -1023,8 +1022,8 @@ def ball_intersection_search(mask: DomainMask, label: int, t: float,
     rep.constants.update({
         "max_overlap_ratio": best,
         "implied_c2": best,
-        "argmax_x": grid.x0 + (ix + 0.5) * grid.h,
-        "argmax_y": grid.y0 + (iy + 0.5) * grid.h,
+        "argmax_x": argmax_x,
+        "argmax_y": argmax_y,
         "heat_content": content,
         "boundary_length": perim,
     })

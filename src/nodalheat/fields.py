@@ -7,6 +7,10 @@ error source out of the downstream grid and Monte Carlo experiments.
 Conventions: the operator is -Laplace, so -Delta u = lambda * u with
 lambda > 0 for eigenfunctions and lambda = 0 for the harmonic cone model
 u = Re((x + i y)^k).
+
+Per-domain norms (|u|_L1, |u|_inf and |grad u|_inf of each nodal domain)
+have one source, domain_norms, which evaluates the model once for every
+domain of a mask.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
     "make_rectangle_eigenfunction",
     "make_disk_eigenfunction",
     "make_cone_model",
-    "compute_norms",
     "domain_norms",
 ]
 
@@ -212,58 +215,28 @@ def make_cone_model(k: int) -> EigenfunctionModel:
     return EigenfunctionModel(CONE, (int(k),), (), 0.0)
 
 
-def _norm_bundle(abs_u, abs_grad, sel, cell_area) -> NormBundle:
-    """Norms of the cells that sel picks from |u| and |grad u|, in raster
-    order: the one reduction every norm here goes through."""
-    if not sel.any():
-        raise EmptyDomainError("mask selects no cells")
-    u = abs_u[sel]
-    return NormBundle(l1=float(np.sum(u) * cell_area), linf=float(np.max(u)),
-                      grad_linf=float(np.max(abs_grad[sel])))
-
-
-def _abs_and_grad(model: EigenfunctionModel, x, y):
-    """|u| and |grad u| of the model on axes (GridSpec.cell_center_axes)."""
-    return np.abs(model.evaluate(x, y)), np.hypot(*model.gradient(x, y))
-
-
-def compute_norms(model: EigenfunctionModel, mask, label=None) -> NormBundle:
-    """Midpoint-rule L1 and grid suprema of |u| and |grad u| over mask cells.
-
-    With label=None all labeled cells count; otherwise only the given nodal
-    domain, and the model is evaluated on the cells of its bounding box
-    (mask.box) alone, so the cost is the domain's, not the grid's.  The
-    model gets the axes of the grid or box (GridSpec.cell_center_axes), not
-    a mesh, and broadcasts them, as every model here does; the selection
-    keeps the raster order, so the sums and maxima see the values that a
-    full-grid selection gives, in the same order, and return the same
-    bytes.  For every label at once, domain_norms evaluates the model once.
-    """
-    grid = mask.grid
-    if label is None:
-        box, sel = None, mask.labels > 0
-    else:
-        box = mask.box(label)
-        sel = mask.labels[box] == label
-    abs_u, abs_grad = _abs_and_grad(model, *grid.cell_center_axes(box))
-    return _norm_bundle(abs_u, abs_grad, sel, grid.h ** 2)
-
-
 def domain_norms(model: EigenfunctionModel, mask) -> list:
-    """compute_norms(model, mask, label=k) for every label k, as a list whose
-    item k - 1 is label k's, bit for bit.
+    """Midpoint-rule L1 and grid suprema of |u| and |grad u| over each nodal
+    domain, as a list whose item k - 1 is label k's NormBundle.
 
-    |u| and |grad u| are evaluated once on the grid's axes, and each label
-    is reduced over its box (mask.box) in raster order, so a domain costs
-    its box, not a model evaluation.  A label without cells raises
-    EmptyDomainError, as compute_norms does.
+    |u| and |grad u| are evaluated once on the grid's axes
+    (GridSpec.cell_center_axes), not a mesh, which the model broadcasts, as
+    every model here does.  Each label is reduced over its box (mask.box)
+    in raster order, so every norm is, to the last bit, what the model on a
+    full mesh selected by labels == k gives.  A label without cells raises
+    EmptyDomainError.
     """
     grid = mask.grid
-    abs_u, abs_grad = _abs_and_grad(model, *grid.cell_center_axes())
+    x, y = grid.cell_center_axes()
+    abs_u, abs_grad = np.abs(model.evaluate(x, y)), np.hypot(*model.gradient(x, y))
     cell_area = grid.h ** 2
     out = []
     for label in range(1, mask.n_labels + 1):
         box = mask.box(label)
-        out.append(_norm_bundle(abs_u[box], abs_grad[box], mask.labels[box] == label,
-                                cell_area))
+        sel = mask.labels[box] == label
+        if not sel.any():
+            raise EmptyDomainError(f"label {label} has no cells")
+        u = abs_u[box][sel]
+        out.append(NormBundle(l1=float(np.sum(u) * cell_area), linf=float(np.max(u)),
+                              grad_linf=float(np.max(abs_grad[box][sel]))))
     return out

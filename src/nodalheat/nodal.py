@@ -75,13 +75,18 @@ class GridSpec:
     def h(self) -> float:
         return self.extent_x / self.nx
 
+    def cell_center(self, iy, ix):
+        """(x, y) of the center of cell (iy, ix); the indices may be arrays,
+        of any shapes, and fractional, as a contour's index coordinates are."""
+        return self.x0 + (ix + 0.5) * self.h, self.y0 + (iy + 0.5) * self.h
+
     @property
     def xs(self) -> np.ndarray:
-        return self.x0 + (np.arange(self.nx) + 0.5) * self.h
+        return self.cell_center(0, np.arange(self.nx))[0]
 
     @property
     def ys(self) -> np.ndarray:
-        return self.y0 + (np.arange(self.ny) + 0.5) * self.h
+        return self.cell_center(np.arange(self.ny), 0)[1]
 
     def cell_center_mesh(self, box=None):
         """(X, Y) arrays of cell centers, shape (ny, nx); with box, a (rows,
@@ -492,7 +497,6 @@ def _stitch_polylines(pa, pb, ia, ib, grid: GridSpec):
                 chain.append(n)
             polylines_idx.append(chain)
 
-    h = grid.h
     extra = 0.0
     polylines = []
     for chain in polylines_idx:
@@ -503,10 +507,7 @@ def _stitch_polylines(pa, pb, ia, ib, grid: GridSpec):
                 if ext is not None:
                     pts = np.vstack([ext[None], pts]) if end == 0 else np.vstack([pts, ext[None]])
                     extra += float(np.linalg.norm(ext - (pts[1] if end == 0 else pts[-2])))
-        phys = np.empty_like(pts)
-        phys[:, 0] = grid.x0 + (pts[:, 0] + 0.5) * h
-        phys[:, 1] = grid.y0 + (pts[:, 1] + 0.5) * h
-        polylines.append(phys)
+        polylines.append(np.column_stack(grid.cell_center(pts[:, 1], pts[:, 0])))
     return polylines, extra
 
 
@@ -723,9 +724,9 @@ def label_at(mask: DomainMask, x: float, y: float) -> int:
     return int(mask.labels[_cell_index(grid, x, y)])
 
 
-def _boundary_lengths(values: np.ndarray, mask: DomainMask):
-    """Boundary length of every label of the mask from one contour of values,
-    and that contour's chained length, _chained_length times h.
+def _boundary_lengths(mask: DomainMask):
+    """Boundary length of every label of the mask from one contour of its own
+    samples, and that contour's chained length, _chained_length times h.
 
     The lengths are an (n_labels + 1,) array; entry 0 is unused.  A segment
     bounds each distinct label among the corners it borders, and counts
@@ -738,7 +739,7 @@ def _boundary_lengths(values: np.ndarray, mask: DomainMask):
     n = mask.n_labels + 1
     lengths = np.zeros(n)
     chained = 0.0
-    v, _ = _perturb_zeros(values)
+    v, _ = _perturb_zeros(mask.field_values)
     if v.any():
         pa, pb, _, _, cell, adjacent = _contour_segments(v, grid.periodic_x, grid.periodic_y)
         chained = _chained_length(pa, pb) * h
@@ -773,26 +774,20 @@ def _own_boundary_table(mask: DomainMask) -> np.ndarray:
     """_boundary_lengths of the mask's own samples, built once and kept on
     the mask with its contour's chained length."""
     if mask._boundary_table is None:
-        mask._boundary_table, mask._contour_length = _boundary_lengths(mask.field_values, mask)
+        mask._boundary_table, mask._contour_length = _boundary_lengths(mask)
     return mask._boundary_table
 
 
-def boundary_length(mask: DomainMask, label: int, field: ScalarField | None = None) -> float:
+def boundary_length(mask: DomainMask, label: int) -> float:
     """H^1 length of a domain boundary, accurate to O(h).
 
     Counts the zero-contour segments adjacent to the domain plus, on
     non-periodic axes, the outer grid walls backing its cells (absorption
-    happens there for Dirichlet models).  One contour gives the length of
-    every label: for the mask's own samples (field None or equal to them)
-    the table is built once and kept on the mask; any other field is
-    contoured afresh and leaves it untouched.
+    happens there for Dirichlet models).  One contour of the mask's own
+    samples gives the length of every label; the table is built once and
+    kept on the mask.
     """
     mask._check(label)
-    values = mask.field_values if field is None else field.values
-    if values.shape != mask.labels.shape:
-        raise InvalidParameterError("field does not match the mask grid")
-    if field is not None and not np.array_equal(values, mask.field_values):
-        return float(_boundary_lengths(values, mask)[0][label])
     return float(_own_boundary_table(mask)[label])
 
 

@@ -75,6 +75,44 @@ class TestComparisonLemma:
         assert rows[1, 6] == rows[0, 6] > 0
 
 
+class TestComparisonBytes:
+    """float.hex of the constants and of grad_linf, and sha256 of the point
+    table, of check_comparison_lemma at the default seed, recorded when the
+    domain's norms came from an evaluation on its own box; the whole-grid
+    domain_norms must reproduce them."""
+
+    PINNED = {
+        "torus:1,1": (
+            {"C_measured": "0x1.333ebc88f2d2ap+0",
+             "identity_residual_max": "0x1.0000000000000p-55"},
+            "0x1.91e1ba05e01c2p+2",
+            "0525a85b4505346c709aff81b985e7589547731da270391daa327d2e7c8875af"),
+        "rect:2,3,1,1.5": (
+            {"C_measured": "0x1.67048cf619ca9p+0",
+             "identity_residual_max": "0x1.0000000000000p-54"},
+            "0x1.920e216741dafp+2",
+            "a305d6a3cf6a659fdb5160e4d860c338bd68ab1ff9e2f89b8843739aceb1c2ce"),
+    }
+    MODELS = {
+        "torus:1,1": nh.make_torus_eigenfunction(1, 1),
+        "rect:2,3,1,1.5": nh.make_rectangle_eigenfunction(2, 3, 1.0, 1.5),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_report_pinned(self, name):
+        model = self.MODELS[name]
+        mask = nh.label_nodal_domains(nh.sample_field(model, nh.grid_for_model(model, 128)))
+        t = 1 / model.eigenvalue
+        rep = check_comparison_lemma(model, mask, 1, None, t,
+                                     PathEnsembleConfig(n_paths=400, dt=t / 150))
+        constants, grad_linf, points_sha = self.PINNED[name]
+        assert {k: v.hex() for k, v in rep.constants.items()} == constants
+        assert rep.references["grad_linf"].hex() == grad_linf
+        table = np.ascontiguousarray(rep.curves["points"], dtype="<f8")
+        assert table.shape == (10, 8)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == points_sha
+
+
 class TestTheorem1:
     def test_torus11_numbers(self, torus11):
         grid = nh.grid_for_model(torus11, 128)
@@ -483,6 +521,26 @@ class TestBallSearch:
         assert oracle == pytest.approx(w / math.pi, rel=1e-4)
         assert rep.constants["max_overlap_ratio"] == pytest.approx(oracle, rel=0.05)
         assert rep.constants["max_overlap_ratio"] < 1.0
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_strip_across_periodic_seam(self, axis):
+        # on a grid periodic along one axis only, a strip across that axis's
+        # seam is the centred strip moved by half a period, so the largest
+        # ball fraction is the same: the whole ball fits in either
+        along_x = axis == "x"
+        grid = nh.GridSpec(nx=128, ny=128, periodic_x=along_x, periodic_y=not along_x)
+
+        def max_ratio(inside):
+            f = nh.indicator_field(grid, lambda x, y: inside(x if along_x else y))
+            mask = nh.label_nodal_domains(f)
+            assert mask.n_labels == 2
+            lab = nh.nodal.principal_label(mask, 1)
+            assert mask.area(lab) == pytest.approx(20 / 128, abs=1e-12)
+            return ball_intersection_search(mask, lab, 0.0049).constants["max_overlap_ratio"]
+
+        centred = max_ratio(lambda s: np.abs(s - 0.5) < 0.08)
+        assert centred == pytest.approx(1.0, abs=1e-9)
+        assert max_ratio(lambda s: (s < 0.08) | (s > 0.92)) == pytest.approx(centred, abs=1e-9)
 
     def test_torus_wavelength_ball(self, torus11, torus11_mask_256):
         _, mask = torus11_mask_256

@@ -122,7 +122,7 @@ class TestNorms:
         grid = nh.grid_for_model(m, 256)
         field = nh.sample_field(m, grid)
         mask = nh.label_nodal_domains(field)
-        norms = nh.compute_norms(m, mask, label=1)
+        norms = nh.domain_norms(m, mask)[0]
         assert norms.l1 == pytest.approx(1 / np.pi ** 2, rel=2e-4)
         assert norms.linf == pytest.approx(1.0, rel=2e-3)
         assert norms.grad_linf == pytest.approx(2 * np.pi, rel=2e-3)
@@ -132,7 +132,8 @@ class TestNorms:
         grid = nh.grid_for_model(m, 256)
         field = nh.sample_field(m, grid)
         mask = nh.label_nodal_domains(field)
-        norms = nh.compute_norms(m, mask)
+        assert mask.n_labels == 1
+        (norms,) = nh.domain_norms(m, mask)
         assert norms.l1 == pytest.approx(4 / np.pi ** 2, rel=2e-4)
         assert norms.grad_linf == pytest.approx(np.pi, rel=2e-3)
 
@@ -147,7 +148,7 @@ class TestNorms:
         assert xs[16, 16] == 0.0
         mask = nh.label_nodal_domains(nh.indicator_field(grid, pick))
         lab = nh.nodal.principal_label(mask, 1)
-        norms = nh.compute_norms(cone, mask, label=lab)
+        norms = nh.domain_norms(cone, mask)[lab - 1]
         assert norms.l1 == 0.0
 
     def test_l1_bounded_by_linf_area(self):
@@ -155,8 +156,7 @@ class TestNorms:
         grid = nh.grid_for_model(m, 128)
         field = nh.sample_field(m, grid)
         mask = nh.label_nodal_domains(field)
-        for lab in range(1, mask.n_labels + 1):
-            norms = nh.compute_norms(m, mask, label=lab)
+        for lab, norms in enumerate(nh.domain_norms(m, mask), start=1):
             assert norms.l1 <= norms.linf * mask.area(lab) * (1 + 1e-12)
 
     def test_mode_swap_symmetry(self):
@@ -165,35 +165,33 @@ class TestNorms:
         grid = nh.grid_for_model(a, 128)
         mask_a = nh.label_nodal_domains(nh.sample_field(a, grid))
         mask_b = nh.label_nodal_domains(nh.sample_field(b, grid))
-        na = nh.compute_norms(a, mask_a)
-        nb = nh.compute_norms(b, mask_b)
-        assert na.l1 == pytest.approx(nb.l1, rel=1e-12)
-        assert na.linf == pytest.approx(nb.linf, rel=1e-12)
-        assert na.grad_linf == pytest.approx(nb.grad_linf, rel=1e-12)
+        # the (3, 2) domains are the (2, 3) ones transposed: the same norms
+        # over all domains, each up to rounding
+        na = nh.domain_norms(a, mask_a)
+        nb = nh.domain_norms(b, mask_b)
+        assert len(na) == len(nb) == 24
+        for attr in ("l1", "linf", "grad_linf"):
+            va = sorted(getattr(n, attr) for n in na)
+            vb = sorted(getattr(n, attr) for n in nb)
+            assert va == pytest.approx(vb, rel=1e-12), attr
 
     def test_domain_norms_match_full_grid_selection(self):
-        # compute_norms(label=k) evaluates the model on the domain's box
-        # only; every norm must be, to the last bit, what the model on a
-        # full mesh selected by labels == k gives
+        # domain_norms evaluates the model on the grid's axes and reduces
+        # each domain over its box only; every norm must be, to the last
+        # bit, what the model on a full mesh selected by labels == k gives
         for model, mask in _norm_masks():
             grid = mask.grid
             xs, ys = grid.cell_center_mesh()
+            every = nh.domain_norms(model, mask)
             for lab in range(1, mask.n_labels + 1):
                 sel = mask.cells(lab)
                 u = model.evaluate(xs[sel], ys[sel])
                 gx, gy = model.gradient(xs[sel], ys[sel])
                 ref = (float(np.sum(np.abs(u)) * grid.h ** 2), float(np.max(np.abs(u))),
                        float(np.max(np.hypot(gx, gy))))
-                norms = nh.compute_norms(model, mask, label=lab)
+                norms = every[lab - 1]
                 got = (norms.l1, norms.linf, norms.grad_linf)
                 assert list(map(float.hex, got)) == list(map(float.hex, ref)), (model, lab)
-
-    def test_empty_mask_errors(self):
-        m = nh.make_torus_eigenfunction(1, 1)
-        grid = nh.grid_for_model(m, 64)
-        mask = nh.label_nodal_domains(nh.sample_field(m, grid))
-        with pytest.raises(Exception):
-            nh.compute_norms(m, mask, label=99)
 
     def test_label_without_cells_errors(self):
         # a mask that declares one more label than it has cells for
@@ -205,8 +203,6 @@ class TestNorms:
                                signs=np.append(mask.signs, 1),
                                areas=np.append(mask.areas, 0.0),
                                field_values=mask.field_values, n_labels=k)
-        with pytest.raises(EmptyDomainError):
-            nh.compute_norms(m, padded, label=k)
         with pytest.raises(EmptyDomainError):
             nh.domain_norms(m, padded)
 
@@ -254,11 +250,8 @@ class TestAxesEvaluation:
         # domain_norms evaluates the model once and gives every label's bundle
         every = nh.domain_norms(model, mask)
         assert len(every) == mask.n_labels
-        for lab in [None] + list(range(1, mask.n_labels + 1)):
-            want = ref(mask.labels > 0 if lab is None else mask.cells(lab))
-            assert hexes(nh.compute_norms(model, mask, label=lab)) == want, lab
-            if lab is not None:
-                assert hexes(every[lab - 1]) == want, lab
+        for lab in range(1, mask.n_labels + 1):
+            assert hexes(every[lab - 1]) == ref(mask.cells(lab)), lab
 
     def test_dirichlet_semigroup_field(self, case):
         # at t = 0 the field is the model on the domain and zero elsewhere

@@ -400,8 +400,8 @@ def test_mask_freed_by_reference_counting():
         for mask in (nh.label_nodal_domains(nh.sample_field(model, grid)),
                      nh.label_nodal_domains(nh.indicator_field(
                          ell_grid, lambda x, y: (x < 0.5) | (y < 0.5)))):
+            nh.domain_norms(model, mask)
             for label in range(1, mask.n_labels + 1):
-                nh.compute_norms(model, mask, label=label)
                 heat_content(mask, label, 1e-3, n_steps=16)
             solve_hitting_field(mask, 1, 1e-3, n_steps=16)
             heat_content_curve(mask, 1, np.logspace(-4, -3, 4), n_steps=16)
@@ -428,7 +428,7 @@ def test_mask_keeps_only_declared_state():
             heat_content(mask, label, 1e-3, n_steps=16)
             nh.boundary_length(mask, label)
             nh.domain_inradius(mask, label)
-            nh.compute_norms(model, mask, label=label)
+        nh.domain_norms(model, mask)
         solve_hitting_field(mask, 1, 1e-3, n_steps=16)
         dirichlet_semigroup_field(model, mask, 1, 1e-3, n_steps=16)
         nh.estimate_hitting_probability(mask, 1, (0.25, 0.25), 1e-3, cfg)

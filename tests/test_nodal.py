@@ -291,24 +291,24 @@ class TestGeometry:
         assert calls == [(id(ell), 1), (id(disk), 1), (id(disk), 2)]
 
     def test_boundary_lengths(self, torus11_mask_256):
-        field, mask = torus11_mask_256
-        assert nh.boundary_length(mask, 1, field) == pytest.approx(2.0, abs=0.02)
+        _, mask = torus11_mask_256
+        assert nh.boundary_length(mask, 1) == pytest.approx(2.0, abs=0.02)
 
     def test_rectangle_boundary(self):
         m = nh.make_rectangle_eigenfunction(1, 1, 1.0, 1.0)
         f = nh.sample_field(m, nh.grid_for_model(m, 128))
         mask = nh.label_nodal_domains(f)
-        assert nh.boundary_length(mask, 1, f) == pytest.approx(4.0, abs=0.02)
+        assert nh.boundary_length(mask, 1) == pytest.approx(4.0, abs=0.02)
 
     def test_torus_23_cell_boundary(self):
         m = nh.make_torus_eigenfunction(2, 3)
         f = nh.sample_field(m, nh.grid_for_model(m, 256))
         mask = nh.label_nodal_domains(f)
-        assert nh.boundary_length(mask, 1, f) == pytest.approx(5 / 6, abs=0.02)
+        assert nh.boundary_length(mask, 1) == pytest.approx(5 / 6, abs=0.02)
 
     def test_boundary_sum_double_counts_nodal_set(self, torus11_mask_256):
         field, mask = torus11_mask_256
-        total = sum(nh.boundary_length(mask, k, field)
+        total = sum(nh.boundary_length(mask, k)
                     for k in range(1, mask.n_labels + 1))
         z = nh.extract_nodal_set(field).total_length
         assert total == pytest.approx(2 * z, abs=8 * mask.grid.h)
@@ -333,7 +333,7 @@ def _random_field(seed, periodic_x, periodic_y):
 def _pinned_geometry(field):
     """(n_labels, per-label lengths as float.hex, nodal length hex, polyline hash)."""
     mask = nh.label_nodal_domains(field)
-    lengths = [nh.boundary_length(mask, k, field).hex()
+    lengths = [nh.boundary_length(mask, k).hex()
                for k in range(1, mask.n_labels + 1)]
     ns = nh.extract_nodal_set(field)
     poly = hashlib.sha256()
@@ -539,28 +539,11 @@ class TestBoundaryTable:
         assert per_field == [1, 1]
 
     def test_repeated_calls_contour_once(self, contour_calls):
-        _, field, mask = self._torus(2)
+        _, _, mask = self._torus(2)
         first = [nh.boundary_length(mask, k) for k in range(1, mask.n_labels + 1)]
-        again = [nh.boundary_length(mask, k, field) for k in range(1, mask.n_labels + 1)]
+        again = [nh.boundary_length(mask, k) for k in range(1, mask.n_labels + 1)]
         assert len(contour_calls) == 1
         assert first == again
-
-    def test_other_field_neither_reads_nor_touches_the_table(self, contour_calls):
-        _, field, mask = self._torus(1, 256)
-        other = nh.ScalarField(grid=field.grid, values=field.values + 0.25)
-        # a table built from other values is not kept
-        nh.boundary_length(mask, 2, other)
-        assert mask._boundary_table is None
-        own = nh.boundary_length(mask, 2)
-        table = mask._boundary_table
-        kept = table.copy()
-        got = [nh.boundary_length(mask, k, other).hex() for k in range(1, 5)]
-        assert got == ["0x0.0p+0", "0x1.68dc4554ccb50p+0", "0x1.68dc4554ccb53p+0",
-                       "0x0.0p+0"]
-        assert mask._boundary_table is table and np.array_equal(table, kept)
-        assert nh.boundary_length(mask, 2) == own
-        # one contour per call on other values, one in all on the mask's own
-        assert len(contour_calls) == 1 + 4 + 1
 
     @pytest.mark.parametrize("periodic", [(False, False), (True, False), (False, True),
                                           (True, True)])
@@ -589,10 +572,6 @@ class TestBoundaryTable:
         for label in (0, mask.n_labels + 1):
             with pytest.raises(UnknownLabelError):
                 nh.boundary_length(mask, label)
-        small = nh.sample_field(nh.make_torus_eigenfunction(1, 1), nh.GridSpec(
-            nx=32, ny=32, periodic_x=True, periodic_y=True))
-        with pytest.raises(InvalidParameterError):
-            nh.boundary_length(mask, 1, small)
 
 
 def _reference_interpolant(values, grid, pts):
