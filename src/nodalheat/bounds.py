@@ -28,6 +28,7 @@ from .nodal import (
     ScalarField,
     _cell_index,
     _nodal_length,
+    _read_only,
     boundary_length,
     distance_to_boundary_map,
     grid_for_model,
@@ -476,7 +477,7 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
         for label in range(1, mask.n_labels + 1):
             # the domain's cells from its box, not from a full-grid pass
             box = mask.box(label)
-            xs, ys = grid.cell_center_mesh(box)
+            xs, ys = np.broadcast_arrays(*grid.cell_center_axes(box))
             sel = mask.labels[box] == label
             dmax = float(_segment_distance(xs[sel], ys[sel], tube.segment, grid).max())
             min_halfwidth = min(min_halfwidth, dmax)
@@ -815,7 +816,7 @@ def default_isoperimetry_family(n: int = 384):
     # circle to O(h^2), unlike a +-1 indicator
     gd = GridSpec(nx=n, ny=n, x0=-0.65, y0=-0.65, extent_x=1.3, extent_y=1.3)
     x, y = gd.cell_center_axes()
-    fdisk = ScalarField(grid=gd, values=0.25 - (x ** 2 + y ** 2))
+    fdisk = ScalarField(grid=gd, values=_read_only(0.25 - (x ** 2 + y ** 2)))
     md = label_nodal_domains(fdisk)
     family.append(("disk", md, principal_label(md, 1)))
 
@@ -1005,7 +1006,9 @@ def ball_intersection_search(mask: DomainMask, label: int, t: float,
     ball_area = float(kern.sum()) * grid.h ** 2     # discrete |B|, ~ pi t
     ratio = overlap / ball_area
     best = float(ratio.max())
-    iy, ix = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    # the first cell within 1e-12 (relative) of the maximum: FFT noise is
+    # about 1e-15, and a ball poking out loses at least its smallest kernel weight
+    iy, ix = np.unravel_index(int(np.argmax(ratio >= best * (1 - 1e-12))), ratio.shape)
     argmax_x, argmax_y = grid.cell_center(iy, ix)
 
     content = heat_content(mask, label, t, n_steps)

@@ -46,7 +46,7 @@ from scipy.fft import dst, dstn, idstn
 from scipy.linalg import cython_lapack
 
 from .errors import EmptyDomainError, InvalidParameterError, SolverError
-from .nodal import DomainMask, GridSpec, ScalarField, _solid_rectangle, domain_inradius
+from .nodal import DomainMask, GridSpec, ScalarField, _read_only, domain_inradius
 
 __all__ = [
     "SurvivalField",
@@ -388,16 +388,6 @@ class _AdiPlan:
     def inmask(self) -> np.ndarray:
         return self._labels == self._label
 
-    @staticmethod
-    def _detect_rectangle(inmask: np.ndarray, grid: GridSpec):
-        """DomainMask.rect for the cells of a full-grid boolean mask."""
-        ys = np.flatnonzero(inmask.any(axis=1))
-        xs = np.flatnonzero(inmask.any(axis=0))
-        if not ys.size:
-            return None
-        box = (slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1))
-        return _solid_rectangle(box, int(np.count_nonzero(inmask)), grid)
-
     # -- the hitting problem on a rectangle: two interval walks ---------------
 
     def hitting_content(self, duration: float) -> float:
@@ -684,4 +674,4 @@ def dirichlet_semigroup_field(model, mask: DomainMask, label: int, t: float,
             raise InvalidParameterError("n_steps must be at least 10")
         _evolve(plan, vals, 0.0, t, n_steps)
     vals[~sel] = 0.0
-    return ScalarField(grid=grid, values=vals)
+    return ScalarField(grid=grid, values=_read_only(vals))

@@ -50,7 +50,8 @@ WAVELENGTH_SAMPLES = 10     # required samples per wavelength 2 pi / sqrt(lambda
 class GridSpec:
     """Regular cell-centered grid with square cells.
 
-    Cell (iy, ix) has center (x0 + (ix + 1/2) h, y0 + (iy + 1/2) h).
+    Cell (iy, ix) has center (x0 + (ix + 1/2) h, y0 + (iy + 1/2) h); the
+    grid gives its centers as axes (cell_center_axes), never as a mesh.
     """
 
     nx: int
@@ -88,18 +89,10 @@ class GridSpec:
     def ys(self) -> np.ndarray:
         return self.cell_center(np.arange(self.ny), 0)[1]
 
-    def cell_center_mesh(self, box=None):
-        """(X, Y) arrays of cell centers, shape (ny, nx); with box, a (rows,
-        columns) pair of slices, those of its cells only."""
-        if box is None:
-            return np.meshgrid(self.xs, self.ys)
-        rows, cols = box
-        return np.meshgrid(self.xs[cols], self.ys[rows])
-
     def cell_center_axes(self, box=None):
         """The grid's axes, cell-center x as a (1, nx) row and y as an (ny, 1)
-        column, which broadcast to cell_center_mesh's arrays; with box,
-        those of its cells only.  A model evaluated on them runs its
+        column; with box, a (rows, columns) pair of slices, those of its
+        cells only.  A model or predicate evaluated on them runs its
         functions of one coordinate on nx + ny values instead of nx * ny,
         and broadcasting combines them into the floats a mesh gives."""
         xs, ys = self.xs, self.ys
@@ -135,15 +128,26 @@ def grid_for_model(model, n: int) -> GridSpec:
                     periodic_x=per_x, periodic_y=per_y)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a with its writeable flag cleared, the form ScalarField keeps as given."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Cell-center samples of a scalar field on a grid; values has shape (ny, nx)."""
+    """Cell-center samples of a scalar field on a grid; values has shape (ny, nx).
+
+    values is read-only float64: a read-only float64 input is kept as
+    given, and any other input is copied once."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and not v.flags.writeable):
+            v = _read_only(np.array(v, dtype=float))
         if v.shape != (self.grid.ny, self.grid.nx):
             raise InvalidParameterError(
                 f"values shape {v.shape} does not match grid ({self.grid.ny}, {self.grid.nx})")
@@ -171,8 +175,8 @@ class DomainMask:
 
     labels[iy, ix] is 0 outside every domain, else a 1-based label assigned
     in raster order of each domain's first cell.  signs[k] is the sign of
-    domain k, areas[k] its cell-count area.  field_values keeps the samples
-    the mask was derived from so downstream consumers share one geometry.
+    domain k, areas[k] its cell-count area.  field_values is the values
+    array of the field the mask was derived from, shared, not copied.
 
     The private fields are what the modules derive from the mask, each
     built on first use and kept for the mask's life.  The mask decides a
@@ -264,24 +268,24 @@ def sample_field(model, grid: GridSpec) -> ScalarField:
             ResolutionWarning,
         )
     u = model.evaluate(*grid.cell_center_axes())
-    return ScalarField(grid=grid, values=np.asarray(u, dtype=float))
+    return ScalarField(grid=grid, values=_read_only(np.asarray(u, dtype=float)))
 
 
 def indicator_field(grid: GridSpec, inside) -> ScalarField:
-    """+1/-1 field from a boolean mask or a predicate inside(x, y).
+    """+1/-1 field from a boolean mask, or a predicate inside(x, y) called on
+    the grid's axes (GridSpec.cell_center_axes), broadcast to (ny, nx); one
+    that does not broadcast raises InvalidParameterError.
 
     Handy for synthetic domains (rectangles, ells, slits, combs): the
     bilinear zero contour then runs along the cell faces between inside
     and outside cells, matching the stair-step solver geometry.
     """
-    if callable(inside):
-        xs, ys = grid.cell_center_mesh()
-        m = np.asarray(inside(xs, ys), dtype=bool)
-    else:
-        m = np.asarray(inside, dtype=bool)
-    if m.shape != (grid.ny, grid.nx):
-        raise InvalidParameterError("indicator shape does not match grid")
-    return ScalarField(grid=grid, values=np.where(m, 1.0, -1.0))
+    m = inside(*grid.cell_center_axes()) if callable(inside) else inside
+    try:
+        m = np.broadcast_to(np.asarray(m, dtype=bool), (grid.ny, grid.nx))
+    except ValueError:
+        raise InvalidParameterError("indicator shape does not match grid") from None
+    return ScalarField(grid=grid, values=_read_only(np.where(m, 1.0, -1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +343,13 @@ _CASE_RANK[list(_CASES) + [5, 10]] = np.arange(len(_CASES) + 2)
 
 
 def _perturb_zeros(values: np.ndarray):
-    v = values.copy()
-    scale = np.max(np.abs(v))
-    zeros = v == 0.0
+    scale = np.max(np.abs(values))
+    zeros = values == 0.0
     count = int(np.count_nonzero(zeros))
     if count and scale > 0:
-        v[zeros] = ZERO_SHIFT_EPS * scale
-    return v, count
+        values = values.copy()      # the samples themselves are read-only
+        values[zeros] = ZERO_SHIFT_EPS * scale
+    return values, count
 
 
 def _wrap_pad(a: np.ndarray, periodic_x: bool, periodic_y: bool) -> np.ndarray:
@@ -579,7 +583,7 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
     root table merges the seams, and one np.minimum.at finds each root's
     first raster cell.  Each intermediate is dropped once it is used, so
     the peak allocation is about twice the field's bytes, the returned
-    mask's labels and copy of the samples included.
+    mask's labels included; the mask shares the field's samples.
     """
     grid = field.grid
     v = field.values
@@ -639,7 +643,7 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
     areas[0] = 0.0
 
     return DomainMask(grid=grid, labels=labels, signs=signs, areas=areas,
-                      field_values=v.copy(), n_labels=n_labels, zero_cells=zero_cells)
+                      field_values=v, n_labels=n_labels, zero_cells=zero_cells)
 
 
 def distance_to_boundary_map(mask: DomainMask, label: int) -> np.ndarray:

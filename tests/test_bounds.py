@@ -310,7 +310,7 @@ class TestThinDomain:
         assert bounds._segment_distance(np.array([1.9]), np.array([0.25]), seg,
                                         grid)[0] == pytest.approx(0.9, rel=1e-12)
         mask = nh.label_nodal_domains(nh.sample_field(model, grid))
-        xs, ys = grid.cell_center_mesh()
+        xs, ys = np.meshgrid(grid.xs, grid.ys)
         qx = xs - 0.0
         qy = ys - 0.25
         s = np.clip(qx, 0.0, 1.0)
@@ -325,6 +325,35 @@ class TestThinDomain:
                           (nh.make_torus_eigenfunction(2, 3), "0x1.2000000000000p-4")):
             rep = thin_domain_check(m, tube, cfg=cfg, grid_n=64)
             assert rep.constants["containment_halfwidth"].hex() == pinned
+
+    @pytest.mark.parametrize("spec, pinned", [
+        ("torus:1,1", {"n_domains_inside_tube": "0x0.0p+0",
+                       "containment_halfwidth": "0x1.f800000000000p-3",
+                       "containment_c": "0x1.17e6d0e71ed58p+1"}),
+        ("rect:1,1,2,1", {"n_domains_inside_tube": "0x0.0p+0",
+                          "containment_halfwidth": "0x1.7c00000000000p-1",
+                          "containment_c": "0x1.4dadbf43e0402p+1"}),
+        ("disk:1,1", {"n_domains_inside_tube": "0x0.0p+0",
+                      "containment_halfwidth": "0x1.f800000000000p-2",
+                      "containment_c": "0x1.e2cb81fd8b14dp+0"}),
+    ])
+    def test_constants_pinned(self, spec, pinned):
+        # the command line's tube (across the frame at a quarter of its
+        # height, c = 0.4) at grid 128; the containment constants come from
+        # each domain's cell centres on its box
+        from nodalheat.cli import parse_model
+        model = parse_model(spec)
+        lam = model.eigenvalue
+        x0, y0, ex, ey = model.frame
+        tube = TubeSpec(segment=((x0, y0 + ey / 4), (x0 + ex, y0 + ey / 4)),
+                        half_width=0.4 / math.sqrt(lam))
+        cfg = PathEnsembleConfig(n_paths=400, dt=1 / lam / 100)
+        rep = thin_domain_check(model, tube, 1 / lam, cfg, grid_n=128)
+        # every path escapes the narrow tube, as on every model here
+        escape = {"escape_mc": "0x1.0000000000000p+0", "escape_mc_std_error": "0x0.0p+0",
+                  "kappa_variance_convention": "0x1.6a09e667f3bccp-1",
+                  "exclusion_active": "0x1.0000000000000p+0"}
+        assert {k: float(v).hex() for k, v in rep.constants.items()} == {**escape, **pinned}
 
     def test_segment_longer_than_one_on_walled_axes(self, torus11):
         # no axis of the 2 x 1 rectangle wraps, so a segment may span its
@@ -501,6 +530,17 @@ class TestBallSearch:
         _, mask = unit_square_mask_256
         rep = ball_intersection_search(mask, 1, 0.0625, c1=0.5)
         assert rep.constants["max_overlap_ratio"] == pytest.approx(1.0, rel=0.05)
+
+    def test_centre_is_first_cell_within_rounding(self, unit_square_mask_256):
+        # every centre 1/4 or more from the walls covers the whole ball, so
+        # the ratio is 1 on a plateau, up to FFT rounding; the reported
+        # centre is the plateau's first cell in raster order, (64, 64), the
+        # first whose kernel support lies inside the square
+        _, mask = unit_square_mask_256
+        rep = ball_intersection_search(mask, 1, 0.0625, c1=0.5)
+        centre = (rep.constants["argmax_x"], rep.constants["argmax_y"])
+        assert centre == mask.grid.cell_center(64, 64) == (0.251953125, 0.251953125)
+        assert rep.constants["max_overlap_ratio"] == pytest.approx(1.0, abs=1e-12)
 
     def test_thin_strip_ratio(self):
         h = 0.0125

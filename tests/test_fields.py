@@ -97,7 +97,7 @@ class TestEigenEquation:
     def test_gradient_matches_central_difference(self, model):
         grid = nh.grid_for_model(model, 256)
         h = grid.h
-        xs, ys = grid.cell_center_mesh()
+        xs, ys = np.meshgrid(grid.xs, grid.ys)
         # keep two cells away from the frame edge
         sl = (slice(2, -2), slice(2, -2))
         x, y = xs[sl], ys[sl]
@@ -110,7 +110,7 @@ class TestEigenEquation:
         # second-order: quartering h cuts the error by ~16
         grid4 = nh.grid_for_model(model, 1024)
         h4 = grid4.h
-        x4, y4 = (a[sl] for a in grid4.cell_center_mesh())
+        x4, y4 = (a[sl] for a in np.meshgrid(grid4.xs, grid4.ys))
         gx4, _ = model.gradient(x4, y4)
         fdx4 = (model.evaluate(x4 + h4, y4) - model.evaluate(x4 - h4, y4)) / (2 * h4)
         assert np.abs(gx4 - fdx4).max() <= np.abs(gx - fdx).max() / 8
@@ -141,7 +141,7 @@ class TestNorms:
         # cone u = x sampled on an odd grid puts a cell center exactly on x = 0
         cone = nh.make_cone_model(1)
         grid = nh.GridSpec(nx=33, ny=33, x0=-1.0, y0=-1.0, extent_x=2.0, extent_y=2.0)
-        xs, _ = grid.cell_center_mesh()
+        xs, _ = np.meshgrid(grid.xs, grid.ys)
         assert np.any(xs == 0.0)
         pick = np.zeros((33, 33), dtype=bool)
         pick[16, 16] = True
@@ -181,7 +181,7 @@ class TestNorms:
         # bit, what the model on a full mesh selected by labels == k gives
         for model, mask in _norm_masks():
             grid = mask.grid
-            xs, ys = grid.cell_center_mesh()
+            xs, ys = np.meshgrid(grid.xs, grid.ys)
             every = nh.domain_norms(model, mask)
             for lab in range(1, mask.n_labels + 1):
                 sel = mask.cells(lab)
@@ -232,11 +232,11 @@ class TestAxesEvaluation:
 
     def test_sample_field(self, case):
         model, grid, field, _ = case
-        assert field.values.tobytes() == model.evaluate(*grid.cell_center_mesh()).tobytes()
+        assert field.values.tobytes() == model.evaluate(*np.meshgrid(grid.xs, grid.ys)).tobytes()
 
     def test_compute_norms(self, case):
         model, grid, _, mask = case
-        xs, ys = grid.cell_center_mesh()
+        xs, ys = np.meshgrid(grid.xs, grid.ys)
 
         def ref(sel):
             u = model.evaluate(xs[sel], ys[sel])
@@ -256,7 +256,7 @@ class TestAxesEvaluation:
     def test_dirichlet_semigroup_field(self, case):
         # at t = 0 the field is the model on the domain and zero elsewhere
         model, grid, _, mask = case
-        mesh = model.evaluate(*grid.cell_center_mesh())
+        mesh = model.evaluate(*np.meshgrid(grid.xs, grid.ys))
         for lab in range(1, mask.n_labels + 1):
             sel = mask.cells(lab)
             got = nh.dirichlet_semigroup_field(model, mask, lab, 0.0).values
@@ -267,7 +267,8 @@ class TestAxesEvaluation:
         box = (slice(1, 3), slice(2, 5))
         for b in (None, box):
             x, y = grid.cell_center_axes(b)
-            xs, ys = grid.cell_center_mesh(b)
+            xs, ys = (np.meshgrid(grid.xs, grid.ys) if b is None
+                      else np.meshgrid(grid.xs[b[1]], grid.ys[b[0]]))
             assert x.ndim == y.ndim == 2 and x.shape[0] == 1 and y.shape[1] == 1
             assert np.array_equal(np.broadcast_to(x, xs.shape), xs)
             assert np.array_equal(np.broadcast_to(y, ys.shape), ys)

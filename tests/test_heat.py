@@ -15,7 +15,6 @@ from scipy.special import erfc
 import nodalheat as nh
 import nodalheat.bounds  # binds nh.bounds; the package does not import it
 from nodalheat.errors import InvalidParameterError, UnknownLabelError
-from nodalheat import heat
 from nodalheat.heat import (
     _evolve,
     _get_plan,
@@ -358,10 +357,20 @@ def test_rectangle_inradius_from_extents():
         assert nh.domain_inradius(mask, label).hex() == edt.hex()
 
 
+def _full_grid_rectangle(inmask, grid):
+    """The rectangle rule from a full-grid boolean mask: its bounding box
+    from whole-grid row and column scans, then _solid_rectangle."""
+    ys = np.flatnonzero(inmask.any(axis=1))
+    xs = np.flatnonzero(inmask.any(axis=0))
+    if not ys.size:
+        return None
+    box = (slice(int(ys[0]), int(ys[-1]) + 1), slice(int(xs[0]), int(xs[-1]) + 1))
+    return nh.nodal._solid_rectangle(box, int(np.count_nonzero(inmask)), grid)
+
+
 def test_plan_rectangle_rule_matches_full_grid_detection():
-    # _get_plan decides from a domain's box and cell count; the full-grid
-    # _detect_rectangle, which the benchmark's tracer calls, must give the
-    # same answer on every label
+    # _get_plan decides from a domain's box and cell count; a detection
+    # from the full-grid cells must give the same answer on every label
     masks = [mask for mask, _ in _block_cases().values()]    # ell, disk, seam, cylinder, ...
     model = nh.make_torus_eigenfunction(2, 3)
     masks.append(nh.label_nodal_domains(nh.sample_field(model, nh.grid_for_model(model, 64))))
@@ -381,7 +390,7 @@ def test_plan_rectangle_rule_matches_full_grid_detection():
     for mask in masks:
         for label in range(1, mask.n_labels + 1):
             rect = _get_plan(mask, label).rect
-            assert rect == heat._AdiPlan._detect_rectangle(mask.cells(label), mask.grid)
+            assert rect == _full_grid_rectangle(mask.cells(label), mask.grid)
             answers.append(rect is not None)
     assert any(answers) and not all(answers)
 
@@ -464,7 +473,7 @@ class TestSemigroup:
         t = 1e-3
         coarse = dirichlet_semigroup_field(mode, mask, 1, t, n_steps=10)
         fine = dirichlet_semigroup_field(mode, mask, 1, t, n_steps=400)
-        xs, ys = grid.cell_center_mesh()
+        xs, ys = np.meshgrid(grid.xs, grid.ys)
         target = np.exp(-lam_h * t) * mode.evaluate(xs, ys)
         assert np.abs(coarse.values - target).max() <= 1e-12 * np.abs(target).max()
         assert np.array_equal(coarse.values, fine.values)

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from conftest import ConstantModel
 
 
 def linear_field(grid, a=1.0, b=0.0, c=-0.3):
-    xs, ys = grid.cell_center_mesh()
+    xs, ys = np.meshgrid(grid.xs, grid.ys)
     return nh.ScalarField(grid=grid, values=a * xs + b * ys + c)
 
 
@@ -86,6 +89,95 @@ class TestSampling:
     def test_grid_requires_square_cells(self):
         with pytest.raises(InvalidParameterError):
             nh.GridSpec(nx=10, ny=10, extent_x=1.0, extent_y=2.0)
+
+    def test_indicator_predicates_on_axes_match_mesh(self, monkeypatch):
+        # a predicate gets the grid's axes, and its +-1 field equals, bit for
+        # bit, the predicate on a full mesh: every predicate of the
+        # isoperimetry family and of the benchmark's fd workload
+        seen = []
+        inner = nh.indicator_field
+
+        def record(grid, inside):
+            seen.append((grid, inside))
+            return inner(grid, inside)
+
+        monkeypatch.setattr(nh.bounds, "indicator_field", record)
+        monkeypatch.setattr(nh, "indicator_field", record)
+        nh.bounds.default_isoperimetry_family(192)
+        path = Path(__file__).resolve().parents[1] / "nhbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("nhbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)     # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        workloads._fd_setup(0)
+        assert len(seen) == 7
+        for grid, predicate in seen:
+            mesh = np.where(predicate(*np.meshgrid(grid.xs, grid.ys)), 1.0, -1.0)
+            assert inner(grid, predicate).values.tobytes() == mesh.tobytes()
+
+    @pytest.mark.parametrize("predicate", [
+        lambda x, y: (x < 0.5)[:, :-1],
+        lambda x, y: np.ones((3, 1), dtype=bool),
+        lambda x, y: np.stack([x < 0.5, x < 0.25]),
+    ], ids=["short-row", "short-column", "three-axes"])
+    def test_indicator_predicate_must_broadcast(self, predicate):
+        with pytest.raises(InvalidParameterError, match="shape"):
+            nh.indicator_field(nh.GridSpec(nx=16, ny=12, extent_y=0.75), predicate)
+
+
+class TestSharedSamples:
+    """A field's samples are one read-only array, which the mask shares."""
+
+    def test_mask_shares_read_only_samples(self, torus11):
+        field = nh.sample_field(torus11, nh.grid_for_model(torus11, 32))
+        mask = nh.label_nodal_domains(field)
+        assert mask.field_values is field.values
+        for values in (field.values, mask.field_values):
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
+
+    def test_writeable_input_is_copied(self):
+        grid = nh.GridSpec(nx=8, ny=8)
+        v = np.linspace(-1.0, 1.0, 64).reshape(8, 8)
+        field = nh.ScalarField(grid=grid, values=v)
+        before = field.values.copy()
+        v[:] = 7.0
+        assert np.array_equal(field.values, before)
+        assert v.flags.writeable
+
+    def test_built_fields_are_kept_as_given(self, torus11):
+        grid = nh.grid_for_model(torus11, 32)
+        mask = nh.label_nodal_domains(nh.sample_field(torus11, grid))
+        disk = {name: m for name, m, _ in nh.bounds.default_isoperimetry_family(32)}["disk"]
+        fields = [nh.sample_field(torus11, grid),
+                  nh.indicator_field(grid, lambda x, y: x < 0.5),
+                  nh.dirichlet_semigroup_field(torus11, mask, 1, 1e-3, n_steps=10),
+                  nh.ScalarField(grid=disk.grid, values=disk.field_values)]
+        for field in fields:
+            assert not field.values.flags.writeable
+            assert nh.ScalarField(grid=field.grid, values=field.values).values is field.values
+
+    def test_perturb_zeros_copies_only_to_shift(self, torus11):
+        field = nh.sample_field(torus11, nh.grid_for_model(torus11, 32))
+        v, count = nh.nodal._perturb_zeros(field.values)
+        assert v is field.values and count == 0
+        zero = nh.ScalarField(grid=field.grid, values=np.where(field.values > 0.5, 0.0, 1.0))
+        v, count = nh.nodal._perturb_zeros(zero.values)
+        assert count > 0 and v is not zero.values and not np.any(v == 0.0)
+
+    def test_label_retains_no_sample_copy(self):
+        # what labeling keeps past its return is the mask's int32 labels
+        # and per-label arrays, not a second copy of the samples
+        model = nh.make_torus_eigenfunction(4, 4)
+        field = nh.sample_field(model, nh.grid_for_model(model, 512))
+        tracemalloc.start()
+        try:
+            mask = nh.label_nodal_domains(field)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.field_values is field.values
+        assert retained <= 0.6 * field.values.nbytes, retained / field.values.nbytes
 
 
 class TestExtraction:
@@ -230,7 +322,7 @@ class TestLabeling:
 
     def test_label_peak_memory(self):
         # whole-field int32 passes: the peak allocation stays near 2x the
-        # field's float64 bytes, the mask's labels and sample copy included
+        # field's float64 bytes, the mask's labels included
         model = nh.make_torus_eigenfunction(4, 4)
         field = nh.sample_field(model, nh.grid_for_model(model, 512))
         tracemalloc.start()
