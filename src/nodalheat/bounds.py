@@ -147,7 +147,7 @@ class TubeSpec:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise InvalidParameterError("half_width must be positive")
 
 
@@ -167,7 +167,7 @@ class CorridorSpec:
     n_margin: int = 3
 
     def __post_init__(self):
-        if self.lam_geom <= 1:
+        if not self.lam_geom > 1:
             raise InvalidParameterError("lam_geom must exceed 1")
         if self.n_covered < 4 or self.n_margin < 1:
             raise InvalidParameterError("need at least 4 covered and 1 margin squares")
@@ -548,7 +548,7 @@ def avoided_crossing_scan(corridor: CorridorSpec, alpha: float,
     from independent weighted paths (_corridor_walk), so its standard error
     is a plain i.i.d. error.
     """
-    if alpha <= 0.5:
+    if not alpha > 0.5:
         raise InvalidParameterError("alpha must exceed 1/2")
     lam_geom = corridor.lam_geom
     w = lam_geom ** (-alpha)

@@ -62,8 +62,8 @@ __all__ = [
 class SurvivalField:
     """Boundary-hitting probabilities p_t on a domain.
 
-    values has the full grid shape; cells outside the domain are clamped to
-    the boundary value 1.  clip_low/clip_high record how far the raw solution
+    values has the full grid shape; cells outside the domain hold the
+    boundary value 1.  clip_low/clip_high record how far the raw solution
     left [0, 1] before clipping.
     """
 
@@ -474,6 +474,10 @@ def _evolve(plan: _AdiPlan, u2: np.ndarray, g: float, duration: float,
     first on the calling thread and the others on _POOL, and waiting for
     them all is the barrier before the next gather.  The bytes do not
     depend on the chunk count: _chunk_count(cells) unless chunks is given.
+
+    Only the domain's cells are written: the rectangle's slice, or the
+    cells of the run vectors' index.  Every other cell of u2 keeps its
+    bytes, so a caller sets the boundary value outside the domain once.
     """
     if duration == 0 or n_steps == 0:
         return
@@ -580,7 +584,6 @@ def solve_hitting_field(mask: DomainMask, label: int, t: float, n_steps: int = 1
     clip_low = max(0.0, float(-inner.min(initial=0.0)))
     clip_high = max(0.0, float(inner.max(initial=0.0) - 1.0))
     np.clip(vals, 0.0, 1.0, out=vals)
-    vals[~sel] = 1.0
     return SurvivalField(grid=grid, t=t, values=vals, label=label,
                          clip_low=clip_low, clip_high=clip_high)
 
@@ -663,15 +666,13 @@ def dirichlet_semigroup_field(model, mask: DomainMask, label: int, t: float,
         raise InvalidParameterError("t must be nonnegative")
     plan = _get_plan(mask, label)
     grid = mask.grid
-    sel = plan.inmask
     box = mask.box(label)
     vals = np.zeros((grid.ny, grid.nx))
-    inbox = sel[box]
+    inbox = plan.inmask[box]
     vals[box][inbox] = np.asarray(model.evaluate(*grid.cell_center_axes(box)),
                                   dtype=float)[inbox]
     if t > 0:
         if n_steps < 10:
             raise InvalidParameterError("n_steps must be at least 10")
         _evolve(plan, vals, 0.0, t, n_steps)
-    vals[~sel] = 0.0
     return ScalarField(grid=grid, values=_read_only(vals))

@@ -600,10 +600,10 @@ def label_nodal_domains(field: ScalarField) -> DomainMask:
 
     # periodic axes: one graph edge per same-sign cell pair across the seam
     edges = [np.zeros((2, 0), dtype=combined.dtype)]
-    if grid.periodic_x and grid.nx > 1:
+    if grid.periodic_x:
         same_sign = (pos[:, 0] & pos[:, -1]) | (neg[:, 0] & neg[:, -1])
         edges.append(np.stack([combined[same_sign, 0], combined[same_sign, -1]]))
-    if grid.periodic_y and grid.ny > 1:
+    if grid.periodic_y:
         same_sign = (pos[0, :] & pos[-1, :]) | (neg[0, :] & neg[-1, :])
         edges.append(np.stack([combined[0, same_sign], combined[-1, same_sign]]))
     del pos, neg

@@ -15,11 +15,11 @@ and re-keys it for each step (`_keyed_stream`); the draws equal those of a
 generator built for the step's key.  The time-stepped walks (grid domain,
 line, interval, wedge) share one engine, `_absorbing_walk`: it owns the
 time grid, the stream and the Brownian-bridge crossing correction, draws
-one step per re-keying, and asks the walk only for its walls (endpoint
-kills and distances to each wall).  The cone exit law is a harmonic
-measure with no time horizon, so `cone_exit_mc` samples it by
-walk-on-spheres instead: no time step, and every path runs until it is
-within `CONE_SHELL` of the boundary.
+one step per re-keying, and asks the walk only for its walls (kills and
+distances to each wall), at the start points and after every step.  The
+cone exit law is a harmonic measure with no time horizon, so
+`cone_exit_mc` samples it by walk-on-spheres instead: no time step, and
+every path runs until it is within `CONE_SHELL` of the boundary.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class PathEnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 100:
             raise InvalidParameterError("n_paths must be at least 100")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise InvalidParameterError("dt must be positive")
 
 
@@ -108,7 +108,7 @@ class ConeSpec:
     def __post_init__(self):
         if not (0 < self.alpha <= 2 * np.pi):
             raise InvalidParameterError("opening angle must be in (0, 2 pi]")
-        if self.r <= 1:
+        if not self.r > 1:
             raise InvalidParameterError("stopping radius must exceed the start radius 1")
 
 
@@ -165,10 +165,10 @@ def _step_rng(seed: int, stream, k: int) -> np.random.Generator:
 
 
 def _steps_for(t: float, cfg: PathEnsembleConfig):
-    if t <= 0:
+    if not t > 0:
         raise InvalidParameterError("horizon t must be positive")
     dt_req = cfg.dt if cfg.dt is not None else t / 1000.0
-    if dt_req > t / 100.0 * (1 + 1e-9):
+    if not dt_req <= t / 100.0 * (1 + 1e-9):
         raise InvalidParameterError(
             f"dt={dt_req:.3g} violates dt <= t/100 for horizon t={t:.3g}")
     n_steps = max(1, math.ceil(t / dt_req - 1e-9))
@@ -192,44 +192,44 @@ def _bridge_crossing(d0, d1, dt: float):
     return crossed
 
 
-def _absorbing_walk(walls, pos, dist, t: float, cfg: PathEnsembleConfig, stream,
+def _absorbing_walk(walls, pos, t: float, cfg: PathEnsembleConfig, stream,
                     n_uniform: int = 1):
     """Killed walk of one path per row of pos (n, d) over t; returns (killed, end).
 
-    The steps are those of _steps_for(t, cfg).  Only live paths are held,
-    compacted in order.  Step k draws Normal(0, 2 dt) increments (m, d) for
-    the m live paths, then, with cfg.bridge_correction, uniforms
-    (m, n_uniform), from counter k of the stream keyed by cfg.seed
-    (_keyed_stream).  walls(new, with_dist) maps a step's end points (m, d)
-    to (dead, dist, new): the endpoint kills, a tuple of each point's
-    distance to each wall (empty unless with_dist), and the points, which it
-    may remap; dist holds those distances at pos.  With the bridge on and
-    some wall, a step also kills on its first uniform with the
-    _bridge_crossing probability; only then does the engine ask for
-    distances.  A path is killed at its first dead step and ends there; end
-    is the last point of paths live after the steps.
+    walls(points, with_dist) maps points (m, d) to (dead, dist): their
+    kills and a tuple of their distances to each wall, empty unless
+    with_dist.  It may wrap the points in place; the walk goes on from
+    them.  The engine asks it about a copy of pos, with with_dist =
+    cfg.bridge_correction, then after every step.  A path dead at its start
+    is killed and ends at its row of pos as given.  The steps are those of
+    _steps_for(t, cfg).  Only live paths are held, compacted in order.
+    Step k draws Normal(0, 2 dt) increments (m, d) for the m live paths,
+    then, with the bridge on, uniforms (m, n_uniform), from counter k of
+    the stream keyed by cfg.seed (_keyed_stream).  The bridge is on when
+    the start query returned distances (cfg.bridge_correction and some
+    wall); a step then also kills on its first uniform with the
+    _bridge_crossing probability.  A path is killed at its first dead step
+    and ends there; end is the last point of paths live after the steps.
     """
     n_steps, dt = _steps_for(t, cfg)
-    bridge = cfg.bridge_correction and len(dist) > 0
-    if not bridge:
-        dist = ()
-    n, d = pos.shape
-    sigma = math.sqrt(2 * dt)
-    killed = np.zeros(n, dtype=bool)
+    killed, dist = walls(pos.copy(), cfg.bridge_correction)
+    bridge = len(dist) > 0
     end = pos.copy()
-    live = np.arange(n)
+    live = np.flatnonzero(~killed)
+    pos = pos[live]
+    dist = tuple(x[live] for x in dist)
+    sigma = math.sqrt(2 * dt)
     rng_at = _keyed_stream(cfg.seed, stream)
     for k in range(n_steps):
         if not live.size:
             break
-        m = live.size
         rng = rng_at(k)
-        new = rng.standard_normal((m, d))
+        new = rng.standard_normal(pos.shape)
         new *= sigma
         new += pos
-        dead, dist_new, new = walls(new, bridge)
+        dead, dist_new = walls(new, bridge)
         if bridge:
-            u = rng.random((m, n_uniform))
+            u = rng.random((live.size, n_uniform))
             dead |= u[:, 0] < _bridge_crossing(dist, dist_new, dt)
         dist = dist_new
         sel = np.flatnonzero(dead)
@@ -278,14 +278,10 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
 
     table is the field's ghost table (nodal._ghost_table; _field_table for
     a mask).  The one wall is the zero set: absorption tests the sign of the
-    bilinear interpolant at each step endpoint, and the engine's bridge test
-    reads the distance to the local linearization of the zero set.
+    bilinear interpolant at the start points and at each step endpoint, and
+    the engine's bridge test reads the distance to the local linearization
+    of the zero set.
     """
-    pos = np.array(starts, dtype=float)
-    f, gx, gy, inside = interpolate_with_gradient(table, grid, pos)
-    absorbed = (~inside) | (sign * f <= 0)
-    live = np.flatnonzero(~absorbed)
-
     # Each step's interpolant stays referenced until the next one is built.
     # Freed at once, it leaves the heap top free, glibc trims it, and every
     # step faults the pages back in (5x the page faults at 100000 paths).
@@ -300,11 +296,9 @@ def _walk_in_domain(table: np.ndarray, grid, sign: int, starts: np.ndarray,
         dead = f <= 0
         if walled:
             dead |= np.logical_not(inside, out=inside)
-        return dead, dist, new
+        return dead, dist
 
-    absorbed[live], pos[live] = _absorbing_walk(
-        walls, pos[live], (_level_set_distance(f, gx, gy)[live],), t, cfg, _STREAMS["grid"])
-    return absorbed, pos
+    return _absorbing_walk(walls, np.asarray(starts, dtype=float), t, cfg, _STREAMS["grid"])
 
 
 def _validate_start(mask: DomainMask, label: int, x):
@@ -401,16 +395,15 @@ def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
     def walls(new, with_dist):
         x = new[:, 0]
         dist = tuple(np.abs(w - x) for w in finite) if with_dist else ()
-        return (x >= hi) | (x <= lo), dist, new
+        return (x >= hi) | (x <= lo), dist
 
-    pos = np.zeros((cfg.n_paths, 1))
-    stopped, _ = _absorbing_walk(walls, pos, walls(pos, True)[1], t, cfg, stream)
+    stopped, _ = _absorbing_walk(walls, np.zeros((cfg.n_paths, 1)), t, cfg, stream)
     return stopped
 
 
 def sup_hitting_check(a: float, t: float, cfg: PathEnsembleConfig) -> SupHittingResult:
     """Reflection-principle check: P(sup_{s<=t} B(s) > a) = erfc(a / (2 sqrt(t)))."""
-    if a <= 0 or t <= 0:
+    if not (a > 0 and t > 0):
         raise InvalidParameterError("need a > 0 and t > 0")
     hit = _line_walk(-np.inf, a, t, cfg, _STREAMS["line"])
     return SupHittingResult(mc=McEstimate.from_samples(hit.astype(float)),
@@ -419,7 +412,7 @@ def sup_hitting_check(a: float, t: float, cfg: PathEnsembleConfig) -> SupHitting
 
 def interval_escape_exact(a: float, t: float) -> float:
     """P(sup_{s<=t} |B(s)| > a), image-series closed form (variance 2t)."""
-    if a <= 0 or t <= 0:
+    if not (a > 0 and t > 0):
         raise InvalidParameterError("need a > 0 and t > 0")
     sigma = math.sqrt(2 * t)
     k_max = int(np.ceil((10 * sigma / a + 1) / 2)) + 2
@@ -448,7 +441,7 @@ def _channel_survival(y0, w: float, t: float) -> np.ndarray:
 
 def escape_interval_mc(a: float, t: float, cfg: PathEnsembleConfig) -> McEstimate:
     """Monte Carlo P(sup_{s<=t} |B(s)| > a) from 0, absorbing at both walls."""
-    if a <= 0 or t <= 0:
+    if not (a > 0 and t > 0):
         raise InvalidParameterError("need a > 0 and t > 0")
     out = _line_walk(-a, a, t, cfg, _STREAMS["interval"])
     return McEstimate.from_samples(out.astype(float))
@@ -497,12 +490,13 @@ def _wedge_walk(start: float, beta: float, t: float, cfg: PathEnsembleConfig):
         dead = ay * ux - ax * uy > 0
         dist = (_wedge_distances(ax, ay, np.sqrt(ax * ax + ay * ay), ux, uy)
                 if with_dist else ())
-        return dead, dist, new
+        return dead, dist
 
     pos = np.zeros((cfg.n_paths, 2))
     pos[:, 0] = start
-    return _absorbing_walk(walls, pos, walls(pos, True)[1], t, cfg, _STREAMS["wedge"],
-                           n_uniform=2)
+    # the second uniform is never read, but dropping it would move every
+    # bridge-on wedge byte
+    return _absorbing_walk(walls, pos, t, cfg, _STREAMS["wedge"], n_uniform=2)
 
 
 def cone_exit_mc(spec: ConeSpec, cfg: PathEnsembleConfig) -> McEstimate:

@@ -425,6 +425,16 @@ class TestAvoidedCrossing:
             avoided_crossing_scan(CorridorSpec(lam_geom=100.0), 0.4,
                                   PathEnsembleConfig(n_paths=100, seed=1))
 
+    @pytest.mark.parametrize("build", [
+        lambda: CorridorSpec(lam_geom=math.nan),
+        lambda: avoided_crossing_scan(CorridorSpec(lam_geom=100.0), math.nan,
+                                      PathEnsembleConfig(n_paths=100, seed=1)),
+        lambda: TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=math.nan),
+    ])
+    def test_nan_rejected(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
 
 class TestCorridorWalk:
     def test_transitions_match_product_form(self):

@@ -202,6 +202,16 @@ class TestExitCodes:
                                          "--t", t], tmp_path)
         assert "--t" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["thin-domain", "--c", "nan"], "half_width"),
+        (["avoided-crossing", "--lam-geom", "nan"], "lam_geom"),
+        (["avoided-crossing", "--alpha", "nan"], "alpha"),
+    ])
+    def test_nan_flag(self, capsys, tmp_path, argv, message):
+        # each ended in a ValueError traceback
+        err = self._usage_error(capsys, argv, tmp_path)
+        assert message in err
+
     @pytest.mark.parametrize("c1", ["0", "-1"])
     def test_nonpositive_c1(self, capsys, tmp_path, c1):
         # --c1 -1 used to make the heat-content premise vacuous and report PASS

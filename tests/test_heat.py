@@ -568,6 +568,30 @@ def _digest(values):
     return hashlib.sha256(" ".join(map(float.hex, np.ravel(values))).encode()).hexdigest()[:16]
 
 
+def _assert_outside_kept(mask, label):
+    """_evolve changes the domain's cells of random data and leaves every
+    other cell bit-identical."""
+    plan = _get_plan(mask, label)
+    u = np.random.default_rng(7).random(plan.inmask.shape)
+    before = u.copy()
+    _evolve(plan, u, 1.0, 1e-3, 12)
+    _evolve(plan, u, 1.0, 4e-4, 10, startup=False)
+    out = ~plan.inmask
+    assert out.any() and not np.array_equal(u[~out], before[~out])
+    assert np.array_equal(u[out].view(np.uint64), before[out].view(np.uint64))
+
+
+@pytest.mark.parametrize("periodic_x", [False, True])
+def test_rectangle_evolve_writes_only_the_domain(periodic_x):
+    grid = nh.GridSpec(nx=40, ny=32, extent_x=1.25, periodic_x=periodic_x)
+    inside = np.zeros((32, 40), dtype=bool)
+    inside[5:20, 3:30] = True
+    mask = nh.label_nodal_domains(nh.indicator_field(grid, inside))
+    label = nh.nodal.principal_label(mask, 1)
+    assert _get_plan(mask, label).rect is not None
+    _assert_outside_kept(mask, label)
+
+
 def _block_cases():
     n = 96
     h = 1.0 / n
@@ -709,6 +733,12 @@ class TestBlockPlan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [ref] * len(threads)
+
+    @pytest.mark.parametrize("name", ["ell", "cylinder", "seam"])
+    def test_evolve_writes_only_the_domain(self, cases, name):
+        # the walled ell, the cylinder's full periodic rows solved as rings,
+        # and runs across both seams of a torus
+        _assert_outside_kept(*cases[name])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_evolves(self, cases):

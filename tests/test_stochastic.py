@@ -46,6 +46,23 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             PathEnsembleConfig(dt=-1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PathEnsembleConfig(dt=math.nan),
+        lambda: ConeSpec(alpha=math.pi / 2, r=math.nan),
+        lambda: interval_escape_exact(math.nan, 1.0),
+        lambda: interval_escape_exact(0.2, math.nan),
+        lambda: escape_interval_mc(0.2, math.nan, PathEnsembleConfig(n_paths=100)),
+        lambda: escape_interval_mc(math.nan, 0.01, PathEnsembleConfig(n_paths=100)),
+        lambda: sup_hitting_check(math.nan, 0.01, PathEnsembleConfig(n_paths=100)),
+        lambda: sup_hitting_check(0.1, math.nan, PathEnsembleConfig(n_paths=100)),
+        lambda: nh.stochastic._steps_for(math.nan, PathEnsembleConfig(n_paths=100)),
+    ])
+    def test_nan_rejected(self, build):
+        # each range check fails on NaN; a NaN cone radius made
+        # walk-on-spheres run forever
+        with pytest.raises(InvalidParameterError):
+            build()
+
     def test_dt_horizon_invariant(self):
         cfg = PathEnsembleConfig(n_paths=1000, dt=T / 10, seed=0)
         with pytest.raises(InvalidParameterError):
@@ -472,6 +489,31 @@ class TestWalkBytes:
             h.update(f"{int(a)} {x.hex()} {y.hex()}\n".encode())
         assert h.hexdigest()[:16] == self.PINNED[(name, n_paths, bridge)]
 
+    @pytest.mark.parametrize("bridge", [True, False])
+    @pytest.mark.parametrize("name,dead", [
+        # torus11 walks its sign -1 domain; (0.25, 0.25) and its copy one
+        # period right lie in the + domain
+        ("torus11", [(0.25, 0.25), (1.25, 0.25)]),
+        # off rect11's walled grid
+        ("rect11", [(1.5, 0.5), (0.5, -0.25)]),
+    ])
+    def test_dead_starts(self, cases, name, dead, bridge):
+        # a start the walls kill ends where it was given, and the live rows
+        # walk bit for bit as they would alone
+        table, grid, sign, starts, t = cases[name]
+        cfg = PathEnsembleConfig(n_paths=300, dt=t / 100, seed=11, bridge_correction=bridge)
+        mixed = np.concatenate([np.repeat(np.array(starts), 100, axis=0), dead * 20])
+        order = np.random.default_rng(4).permutation(len(mixed))
+        mixed = mixed[order]
+        is_dead = order >= 300
+        absorbed, end = _walk_in_domain(table, grid, sign, mixed, t, cfg)
+        alone = _walk_in_domain(table, grid, sign, mixed[~is_dead], t, cfg)
+        assert absorbed[is_dead].all()
+        assert np.array_equal(end[is_dead], mixed[is_dead])
+        assert np.array_equal(absorbed[~is_dead], alone[0])
+        assert np.array_equal(end[~is_dead], alone[1])
+        assert not alone[0].all()
+
     def test_level_set_distance_degenerate(self):
         f = np.array([1.0, 0.0, -2.0, 0.0, 3.0])
         gx = np.array([0.0, 0.0, 0.0, 1.0, 3.0])
@@ -525,7 +567,7 @@ class TestEngineWalkBytes:
 
 class TestDistancesOnlyForTheBridge:
     """The engine asks a walk for wall distances only when the bridge test
-    reads them; a bridge-off walk computes them once, for its starts."""
+    reads them, at the start points as after every step."""
 
     @pytest.mark.parametrize("bridge", [True, False])
     def test_engine_asks_only_with_the_bridge(self, bridge):
@@ -534,12 +576,12 @@ class TestDistancesOnlyForTheBridge:
         def walls(new, with_dist):
             asked.append(with_dist)
             x = new[:, 0]
-            return x >= 0.1, ((0.1 - x),) if with_dist else (), new
+            return x >= 0.1, ((0.1 - x),) if with_dist else ()
 
         cfg = PathEnsembleConfig(n_paths=500, dt=1e-4, seed=3, bridge_correction=bridge)
-        nh.stochastic._absorbing_walk(walls, np.zeros((500, 1)), (np.full(500, 0.1),),
-                                      0.01, cfg, _STREAMS["line"])
-        assert asked and set(asked) == {bridge}
+        nh.stochastic._absorbing_walk(walls, np.zeros((500, 1)), 0.01, cfg, _STREAMS["line"])
+        # the first query is the start points'
+        assert len(asked) > 1 and asked[0] is bridge and set(asked) == {bridge}
 
     @pytest.mark.parametrize("bridge", [True, False])
     def test_grid_and_wedge_walks(self, monkeypatch, bridge):
@@ -560,7 +602,7 @@ class TestDistancesOnlyForTheBridge:
         if bridge:
             assert calls["_level_set_distance"] > 1 and calls["_wedge_distances"] > 1
         else:
-            assert calls == {"_level_set_distance": 1, "_wedge_distances": 1}
+            assert calls == {}
 
 
 def _estimate_cases():
