@@ -1,9 +1,11 @@
 """Config-driven experiment runner.
 
 One subcommand per experiment; flags override an optional flat key=value
-config file.  All randomness comes from the --seed flag (fixed default, never
-wall clock), and report/CSV emission is byte-stable so identical configs give
-identical artifacts regardless of thread count.
+config file.  One table, EXPERIMENTS, declares each experiment (its driver,
+flags, defaults and suite scale) and one, MODEL_KINDS, each model kind.  All
+randomness comes from the --seed flag (fixed default, never wall clock), and
+report/CSV emission is byte-stable so identical configs give identical
+artifacts regardless of thread count.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,20 +37,20 @@ from .nodal import (
     label_nodal_domains,
     sample_field,
 )
-from .stochastic import PathEnsembleConfig, cone_exit_exact, cone_exit_mc, ConeSpec
+from .stochastic import ConeSpec, PathEnsembleConfig
 
 DEFAULT_SEED = 20260808
 
 
 def _positive(cast):
-    """argparse type: the text cast by `cast`, rejected unless positive."""
+    """argparse type: the text cast by `cast`, rejected unless positive and finite."""
     def parse(text):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}")
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
     return parse
 
@@ -108,32 +111,6 @@ FLAGS = {
 
 _WALK = ("paths", "dt", "seed", "bridge")
 
-# Experiment -> the flags its driver reads; every experiment also takes
-# --out and --config, and any other flag is a usage error.
-EXPERIMENT_FLAGS = {
-    "heat-content": ("model", "grid", "domain", "times", "steps", "emit-fields"),
-    "comparison": ("model", "grid", "domain", "t") + _WALK,
-    "theorem1": ("modes", "grid", "steps"),
-    "max-point": ("model", "grid", "domain", "t", "steps") + _WALK,
-    "thin-domain": ("model", "grid", "c", "t") + _WALK,
-    "avoided-crossing": ("alpha", "lam-geom", "squares", "margin", "paths", "seed"),
-    "cone": ("alpha", "r", "k") + _WALK,
-    "isoperimetry": ("grid", "times", "steps"),
-    "global-survival": ("model", "grid", "steps", "emit-fields") + _WALK,
-    "ball-search": ("model", "grid", "domain", "t", "c1", "steps"),
-    "suite": ("quick", "seed", "threads"),
-}
-
-# Experiment defaults that differ from the flag table's.
-EXPERIMENT_DEFAULTS = {
-    "heat-content": dict(times="1e-5:1e-4:8", grid=1024, steps=64),
-    "avoided-crossing": dict(alpha=0.75),
-    "isoperimetry": dict(grid=384, steps=64),
-    "global-survival": dict(paths=0),
-}
-
-EXPERIMENTS = list(EXPERIMENT_FLAGS)
-
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
@@ -141,26 +118,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# Model kind -> (factory, integer parameters, defaults of the floats that may follow)
+MODEL_KINDS = {
+    "torus": (make_torus_eigenfunction, 2, ()),
+    "rect": (make_rectangle_eigenfunction, 2, (1.0, 1.0)),
+    "disk": (make_disk_eigenfunction, 2, (1.0,)),
+    "cone": (make_cone_model, 1, ()),
+}
+
+
 def parse_model(spec: str):
     """kind:params, e.g. torus:1,1 | rect:2,1,1.0,1.0 | disk:0,1[,R] | cone:3."""
+    kind, _, rest = spec.partition(":")
+    if kind not in MODEL_KINDS:
+        raise InvalidParameterError(
+            f"unknown model kind {kind!r} (use {'|'.join(MODEL_KINDS)})")
+    make, n_int, floats = MODEL_KINDS[kind]
+    parts = rest.split(",")
     try:
-        kind, _, rest = spec.partition(":")
-        parts = [p for p in rest.split(",") if p]
-        if kind == "torus":
-            return make_torus_eigenfunction(int(parts[0]), int(parts[1]))
-        if kind == "rect":
-            a = float(parts[2]) if len(parts) > 2 else 1.0
-            b = float(parts[3]) if len(parts) > 3 else 1.0
-            return make_rectangle_eigenfunction(int(parts[0]), int(parts[1]), a, b)
-        if kind == "disk":
-            radius = float(parts[2]) if len(parts) > 2 else 1.0
-            return make_disk_eigenfunction(int(parts[0]), int(parts[1]), radius)
-        if kind == "cone":
-            return make_cone_model(int(parts[0]))
-    except (IndexError, ValueError) as exc:
+        if "" in parts or not n_int <= len(parts) <= n_int + len(floats):
+            count = f"{n_int} to {n_int + len(floats)}" if floats else n_int
+            raise ValueError(f"{kind} takes {count} parameter(s), none empty")
+        args = [int(p) for p in parts[:n_int]] + [float(p) for p in parts[n_int:]]
+    except ValueError as exc:
         raise InvalidParameterError(f"bad model spec {spec!r}: {exc}")
-    raise InvalidParameterError(
-        f"unknown model kind {kind!r} (use torus|rect|disk|cone)")
+    return make(*args, *floats[len(args) - n_int:])
 
 
 def load_config_file(path: str) -> dict:
@@ -185,18 +167,12 @@ def emit_report(report, out_dir: str) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     rp = os.path.join(out_dir, f"{report.name}.report.txt")
-    lines = [f"experiment = {report.name}",
-             f"claim = {report.claim}",
-             f"verdict = {report.verdict}",
-             "[inputs]"]
-    for k in sorted(report.inputs):
-        lines.append(f"{k} = {_fmt(report.inputs[k])}")
-    lines.append("[constants]")
-    for k in sorted(report.constants):
-        lines.append(f"{k} = {_fmt(report.constants[k])}")
-    lines.append("[references]")
-    for k in sorted(report.references):
-        lines.append(f"{k} = {_fmt(report.references[k])}")
+    lines = [f"experiment = {report.name}", f"claim = {report.claim}",
+             f"verdict = {report.verdict}"]
+    for section in ("inputs", "constants", "references"):
+        values = getattr(report, section)
+        lines.append(f"[{section}]")
+        lines.extend(f"{k} = {_fmt(values[k])}" for k in sorted(values))
     lines.append("[checks]")
     for c in report.checks:
         state = {True: "pass", False: "FAIL", None: "info"}[c.passed]
@@ -337,7 +313,7 @@ def run_theorem1(ns) -> bounds.ExperimentReport:
                   f"{c['certificate_sup_form']:.4f} vs {ref_cert:.4f}, "
                   f"<= length {c['nodal_length']:.4f}")
         for chk in sub.checks:
-            if chk.passed is False:
+            if chk.passed is not None and not chk.passed:
                 rep.check(f"m{m}:{chk.name}", False, chk.detail)
     # a domain whose heat content reads 0 at a coarse grid has no finite spread
     lo = min(ratio_mins)
@@ -407,22 +383,8 @@ def run_avoided_crossing(ns) -> bounds.ExperimentReport:
 def run_cone(ns) -> bounds.ExperimentReport:
     cfg = _path_cfg(ns, 1e-3)
     if ns.alpha is not None:
-        r = 2.0 if ns.r is None else ns.r
-        spec = ConeSpec(alpha=ns.alpha, r=r)
-        exact = cone_exit_exact(spec)
-        mc = cone_exit_mc(spec, cfg)
-        allow = bounds.cone_bias_allowance(cfg.dt, cfg)
-        rep = bounds.ExperimentReport(
-            name="cone",
-            claim="the closed-form cone exit law matches simulation",
-            inputs={"alpha": ns.alpha, "r": r, "paths": ns.paths,
-                    "dt": cfg.dt, "seed": ns.seed},
-        )
-        rep.constants.update({"mc": mc.mean, "mc_std_error": mc.std_error})
-        rep.references["exact"] = exact
-        rep.check("exit-law", abs(mc.mean - exact) <= 3 * mc.std_error + allow,
-                  f"|{mc.mean:.5f} - {exact:.5f}| <= 3se + {allow:.4f}")
-        return rep
+        spec = ConeSpec(alpha=ns.alpha, r=2.0 if ns.r is None else ns.r)
+        return bounds.cone_exit_law(spec, cfg)
     return bounds.cone_condition_decay(2 if ns.k is None else ns.k, cfg)
 
 
@@ -460,32 +422,6 @@ def _path_cfg(ns, default_dt=None) -> PathEnsembleConfig:
 # the suite
 # ---------------------------------------------------------------------------
 
-# (quick, full) command line of every acceptance experiment at suite scale
-_SUITE_JOBS = [
-    ("heat-content --grid 256 --times 4e-5:4e-4:6 --steps 32",
-     "heat-content --grid 1024 --times 1e-5:1e-4:8 --steps 64"),
-    ("comparison --paths 2000 --grid 128", "comparison --paths 20000 --grid 256"),
-    ("theorem1 --modes 1,2 --grid 128 --steps 48",
-     "theorem1 --modes 1,2,3,4 --grid 256 --steps 96"),
-    ("max-point --paths 5000 --grid 128", "max-point --paths 100000 --grid 256"),
-    ("thin-domain --c 0.4 --paths 20000 --grid 128",
-     "thin-domain --c 0.4 --paths 100000 --grid 256"),
-    ("avoided-crossing --paths 20000 --squares 8",
-     "avoided-crossing --paths 100000 --squares 12"),
-    ("cone --k 2 --paths 20000 --dt 1e-3", "cone --k 2 --paths 100000 --dt 5e-4"),
-    ("isoperimetry --grid 192 --steps 32", "isoperimetry --grid 384 --steps 64"),
-    ("global-survival --grid 128", "global-survival --grid 256"),
-    ("ball-search --grid 128", "ball-search --grid 256"),
-]
-
-
-def _suite_jobs(ns) -> list:
-    """The suite's command lines; --seed goes to the experiments that read it."""
-    jobs = [(quick if ns.quick else full).split() for quick, full in _SUITE_JOBS]
-    return [argv + ["--seed", str(ns.seed)] if "seed" in EXPERIMENT_FLAGS[argv[0]]
-            else argv for argv in jobs]
-
-
 def run_suite(ns) -> int:
     parser = build_parser()
 
@@ -514,6 +450,59 @@ def run_suite(ns) -> int:
     return worst
 
 
+def _suite_jobs(ns) -> list:
+    """The suite's command lines; --seed goes to the experiments that read it."""
+    jobs = [[name, *(exp.quick if ns.quick else exp.full).split()]
+            for name, exp in EXPERIMENTS.items() if exp.quick is not None]
+    return [argv + ["--seed", str(ns.seed)] if "seed" in EXPERIMENTS[argv[0]].flags
+            else argv for argv in jobs]
+
+
+class Experiment(NamedTuple):
+    """An experiment's driver, the flags it reads besides --out and --config
+    (any other is a usage error), its defaults that differ from FLAGS', and
+    its flags at quick and at full suite scale (None: not a suite job)."""
+
+    driver: Callable
+    flags: tuple
+    defaults: dict
+    quick: str | None
+    full: str | None
+
+
+EXPERIMENTS = {
+    "heat-content": Experiment(
+        run_heat_content, ("model", "grid", "domain", "times", "steps", "emit-fields"),
+        dict(times="1e-5:1e-4:8", grid=1024, steps=64),
+        "--grid 256 --times 4e-5:4e-4:6 --steps 32",
+        "--grid 1024 --times 1e-5:1e-4:8 --steps 64"),
+    "comparison": Experiment(run_comparison, ("model", "grid", "domain", "t") + _WALK, {},
+                             "--paths 2000 --grid 128", "--paths 20000 --grid 256"),
+    "theorem1": Experiment(run_theorem1, ("modes", "grid", "steps"), {},
+                           "--modes 1,2 --grid 128 --steps 48",
+                           "--modes 1,2,3,4 --grid 256 --steps 96"),
+    "max-point": Experiment(run_max_point, ("model", "grid", "domain", "t", "steps") + _WALK,
+                            {}, "--paths 5000 --grid 128", "--paths 100000 --grid 256"),
+    "thin-domain": Experiment(run_thin_domain, ("model", "grid", "c", "t") + _WALK, {},
+                              "--c 0.4 --paths 20000 --grid 128",
+                              "--c 0.4 --paths 100000 --grid 256"),
+    "avoided-crossing": Experiment(
+        run_avoided_crossing, ("alpha", "lam-geom", "squares", "margin", "paths", "seed"),
+        dict(alpha=0.75), "--paths 20000 --squares 8", "--paths 100000 --squares 12"),
+    "cone": Experiment(run_cone, ("alpha", "r", "k") + _WALK, {},
+                       "--k 2 --paths 20000 --dt 1e-3", "--k 2 --paths 100000 --dt 5e-4"),
+    "isoperimetry": Experiment(run_isoperimetry, ("grid", "times", "steps"),
+                               dict(grid=384, steps=64),
+                               "--grid 192 --steps 32", "--grid 384 --steps 64"),
+    "global-survival": Experiment(
+        run_global_survival, ("model", "grid", "steps", "emit-fields") + _WALK,
+        dict(paths=0), "--grid 128", "--grid 256"),
+    "ball-search": Experiment(run_ball_search, ("model", "grid", "domain", "t", "c1", "steps"),
+                              {}, "--grid 128", "--grid 256"),
+    "suite": Experiment(run_suite, ("quick", "seed", "threads"), {}, None, None),
+}
+
+
 # The warnings raised on each thread since its job started.  `main` installs
 # _file_warning as warnings.showwarning for the whole command; a thread runs
 # one job at a time, so each list holds the warnings of exactly one job.
@@ -527,23 +516,9 @@ def _file_warning(message, *_):
 def _run_recording_warnings(ns) -> bounds.ExperimentReport:
     """Run one experiment; the warnings it raises land in the report notes."""
     _raised.messages = []
-    rep = DISPATCH[ns.experiment](ns)
+    rep = EXPERIMENTS[ns.experiment].driver(ns)
     rep.notes.extend(dict.fromkeys(_raised.messages))
     return rep
-
-
-DISPATCH = {
-    "heat-content": run_heat_content,
-    "comparison": run_comparison,
-    "theorem1": run_theorem1,
-    "max-point": run_max_point,
-    "thin-domain": run_thin_domain,
-    "avoided-crossing": run_avoided_crossing,
-    "cone": run_cone,
-    "isoperimetry": run_isoperimetry,
-    "global-survival": run_global_survival,
-    "ball-search": run_ball_search,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -560,11 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="nodalheat",
                 description="heat-flow and Brownian-motion experiments on nodal domains")
     sub = p.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-    for name, flags in EXPERIMENT_FLAGS.items():
+    for name, exp in EXPERIMENTS.items():
         sp = sub.add_parser(name)
-        for flag in flags + ("out", "config"):
+        for flag in exp.flags + ("out", "config"):
             sp.add_argument(f"--{flag}", **FLAGS[flag])
-        sp.set_defaults(**EXPERIMENT_DEFAULTS.get(name, {}))
+        sp.set_defaults(**exp.defaults)
     return p
 
 
@@ -577,7 +552,7 @@ def _config_args(parser, path: str, experiment: str) -> list:
     args = []
     for key, val in values.items():
         flag = key.replace("_", "-")
-        if flag not in EXPERIMENT_FLAGS[experiment] + ("out",):
+        if flag not in EXPERIMENTS[experiment].flags + ("out",):
             parser.error(f"config key {key!r} is not a flag of {experiment}")
         action = FLAGS[flag].get("action")
         if action is None:

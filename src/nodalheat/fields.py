@@ -15,6 +15,7 @@ domain of a mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -191,8 +192,9 @@ def make_rectangle_eigenfunction(m: int, n: int, a: float, b: float) -> Eigenfun
     """Dirichlet box mode sin(m pi x / a) sin(n pi y / b) on [0,a] x [0,b]."""
     _check_mode("m", m)
     _check_mode("n", n)
-    if a <= 0 or b <= 0:
-        raise InvalidParameterError(f"side lengths must be positive, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise InvalidParameterError(
+            f"side lengths must be positive and finite, got a={a}, b={b}")
     lam = np.pi ** 2 * (m * m / a ** 2 + n * n / b ** 2)
     return EigenfunctionModel(RECTANGLE, (int(m), int(n)), (float(a), float(b)), float(lam))
 
@@ -202,8 +204,8 @@ def make_disk_eigenfunction(m: int, k: int, radius: float = 1.0) -> Eigenfunctio
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise InvalidParameterError(f"angular index m must be a nonnegative integer, got {m!r}")
     _check_mode("k", k)
-    if radius <= 0:
-        raise InvalidParameterError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise InvalidParameterError(f"radius must be positive and finite, got {radius}")
     j_mk = _bessel_zero(m, k)
     lam = (j_mk / radius) ** 2
     return EigenfunctionModel(DISK, (int(m), int(k)), (float(radius),), float(lam))

@@ -79,8 +79,8 @@ class PathEnsembleConfig:
     def __post_init__(self):
         if self.n_paths < 100:
             raise InvalidParameterError("n_paths must be at least 100")
-        if self.dt is not None and not self.dt > 0:
-            raise InvalidParameterError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise InvalidParameterError("dt must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,8 @@ def _step_rng(seed: int, stream, k: int) -> np.random.Generator:
 
 
 def _steps_for(t: float, cfg: PathEnsembleConfig):
-    if not t > 0:
-        raise InvalidParameterError("horizon t must be positive")
+    if not 0 < t < math.inf:
+        raise InvalidParameterError("horizon t must be positive and finite")
     dt_req = cfg.dt if cfg.dt is not None else t / 1000.0
     if not dt_req <= t / 100.0 * (1 + 1e-9):
         raise InvalidParameterError(

@@ -21,7 +21,7 @@ from nodalheat.bounds import (
     thin_domain_check,
 )
 from nodalheat.errors import InvalidParameterError, ResolutionWarning
-from nodalheat.stochastic import PathEnsembleConfig, sup_hitting_check
+from nodalheat.stochastic import ConeSpec, McEstimate, PathEnsembleConfig, sup_hitting_check
 
 
 LAM11 = 8 * np.pi ** 2
@@ -430,6 +430,7 @@ class TestAvoidedCrossing:
         lambda: avoided_crossing_scan(CorridorSpec(lam_geom=100.0), math.nan,
                                       PathEnsembleConfig(n_paths=100, seed=1)),
         lambda: TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=math.nan),
+        lambda: TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=math.inf),
     ])
     def test_nan_rejected(self, build):
         with pytest.raises(InvalidParameterError):
@@ -495,6 +496,48 @@ class TestConeCondition:
         assert exps[0] < exps[1] < exps[2]
         assert exps[1] / exps[0] == pytest.approx(2.0, rel=0.15)
         assert exps[2] / exps[1] == pytest.approx(2.0, rel=0.15)
+
+
+class TestConeExitLaw:
+    def test_decay_checks_the_exit_law_through_the_shared_check(self):
+        cfg = PathEnsembleConfig(n_paths=2000, dt=1e-3, seed=31)
+        rep = cone_condition_decay(2, cfg, s_values=(0.1,))
+        exact, mc, _, passed, detail = bounds._exit_law_check(
+            ConeSpec(alpha=math.pi / 2, r=bounds.CONE_RADII[0]), cfg)
+        (law,) = [c for c in rep.checks if c.name == "exit-law-mc"]
+        assert (law.passed, law.detail) == (passed, detail)
+        assert rep.constants["cone_exit_mc"] == mc.mean
+        assert rep.references["cone_exit_exact"] == exact
+
+    def test_report(self):
+        cfg = PathEnsembleConfig(n_paths=2000, dt=2e-3, seed=5)
+        rep = bounds.cone_exit_law(ConeSpec(alpha=math.pi / 2, r=2.0), cfg)
+        assert rep.verdict == "pass"
+        assert rep.inputs == {"alpha": math.pi / 2, "r": 2.0, "paths": 2000, "dt": 2e-3,
+                              "seed": 5}
+        assert rep.references["exact"] == pytest.approx(0.3119165215094773, rel=1e-15)
+
+    def test_failed_exit_law_fails_the_decay_verdict(self, monkeypatch):
+        # the check's numpy bool used to leave the verdict at pass
+        monkeypatch.setattr(bounds, "cone_exit_mc",
+                            lambda spec, cfg: McEstimate(mean=1.0, std_error=0.0, n_paths=200))
+        rep = cone_condition_decay(1, PathEnsembleConfig(n_paths=200, dt=0.05, seed=3),
+                                   s_values=(0.1,))
+        assert [c.passed for c in rep.checks if c.name == "exit-law-mc"] == [False]
+        assert rep.verdict == "fail"
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("states,verdict", [
+        ([], "report-only"), ([None], "report-only"), ([True, None], "pass"),
+        ([np.True_], "pass"), ([True, np.False_], "fail"), ([np.False_, None], "fail"),
+        ([False, True], "fail"),
+    ])
+    def test_numpy_bools_count(self, states, verdict):
+        rep = bounds.ExperimentReport(name="x", claim="x")
+        for i, state in enumerate(states):
+            rep.check(f"c{i}", state)
+        assert rep.verdict == verdict
 
 
 class TestIsoperimetry:
@@ -597,6 +640,13 @@ class TestBallSearch:
         rep = ball_intersection_search(mask, 1, 1 / LAM11, c1=0.5)
         assert rep.constants["max_overlap_ratio"] >= 0.9
         assert rep.constants["max_overlap_ratio"] == pytest.approx(1.0, rel=0.05)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0, 0.0])
+    def test_t_not_positive_and_finite(self, torus11_mask_128, t):
+        # inf raised OverflowError in the disk kernel, nan ValueError, -1 a math domain error
+        _, mask = torus11_mask_128
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ball_intersection_search(mask, 1, t)
 
     def test_radius_resolution_error(self, torus11_mask_128):
         _, mask = torus11_mask_128

@@ -14,6 +14,7 @@ import pytest
 import nodalheat
 from nodalheat import bounds, cli
 from nodalheat.errors import InvalidParameterError
+from nodalheat.stochastic import ConeSpec, PathEnsembleConfig
 
 
 def read(path):
@@ -33,10 +34,25 @@ class TestParsing:
         assert m.kind == "disk_bessel"
 
     def test_bad_model(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"\(use torus\|rect\|disk\|cone\)"):
             cli.parse_model("sphere:1")
         with pytest.raises(InvalidParameterError):
             cli.parse_model("torus:1")
+
+    @pytest.mark.parametrize("spec", ["torus:1,1,9", "cone:3,7", "disk:0,1,1,5",
+                                      "rect:1,1,1,1,9", "torus:1,,1", "torus:1,1,",
+                                      "torus", "cone:", "rect:1,1,x"])
+    def test_extra_or_empty_parameters(self, spec):
+        # each of the first five used to drop a value and build a model
+        with pytest.raises(InvalidParameterError, match="bad model spec"):
+            cli.parse_model(spec)
+
+    @pytest.mark.parametrize("spec,geometry", [
+        ("rect:2,1", (1.0, 1.0)), ("rect:2,1,3", (3.0, 1.0)), ("rect:2,1,3,0.5", (3.0, 0.5)),
+        ("disk:0,1", (1.0,)), ("disk:0,1,2.5", (2.5,)), ("torus:1,2", ()),
+    ])
+    def test_float_defaults(self, spec, geometry):
+        assert cli.parse_model(spec).geometry == geometry
 
     def test_times(self):
         t = cli.parse_times("1e-5:1e-4:8")
@@ -84,10 +100,9 @@ def _reads(fn):
 class TestFlagTable:
     def test_each_experiment_takes_what_its_driver_reads(self):
         subparsers = _subparsers()
-        assert list(subparsers) == cli.EXPERIMENTS
+        assert list(subparsers) == list(cli.EXPERIMENTS)
         for name, sp in subparsers.items():
-            driver = cli.run_suite if name == "suite" else cli.DISPATCH[name]
-            assert _dests(sp) == _reads(driver) | {"out", "config"}, name
+            assert _dests(sp) == _reads(cli.EXPERIMENTS[name].driver) | {"out", "config"}, name
 
     def test_settable_value_count(self):
         # 15 shared flags on all 11 subcommands plus 10 own flags made 175;
@@ -98,7 +113,7 @@ class TestFlagTable:
     def test_suite_jobs_parse(self, quick):
         parser = cli.build_parser()
         jobs = cli._suite_jobs(argparse.Namespace(quick=quick, seed=7))
-        assert [argv[0] for argv in jobs] == cli.EXPERIMENTS[:-1]
+        assert [argv[0] for argv in jobs] == list(cli.EXPERIMENTS)[:-1]
         for argv in jobs:
             ns = parser.parse_args(argv + ["--out", "unused"])
             assert getattr(ns, "seed", 7) == 7
@@ -121,7 +136,8 @@ class TestExitCodes:
     def test_fail_verdict_exit_one(self, tmp_path, monkeypatch):
         rep = bounds.ExperimentReport(name="stub", claim="x")
         rep.check("impossible", False, "forced failure")
-        monkeypatch.setitem(cli.DISPATCH, "cone", lambda ns: rep)
+        monkeypatch.setitem(cli.EXPERIMENTS, "cone",
+                            cli.EXPERIMENTS["cone"]._replace(driver=lambda ns: rep))
         rc = cli.main(["cone", "--out", str(tmp_path)])
         assert rc == 1
         text = read(tmp_path / "stub.report.txt").decode()
@@ -212,6 +228,31 @@ class TestExitCodes:
         err = self._usage_error(capsys, argv, tmp_path)
         assert message in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["comparison", "--t", "inf"], "--t"),
+        (["max-point", "--t", "inf"], "--t"),
+        (["ball-search", "--t", "inf"], "--t"),
+        (["ball-search", "--c1", "inf"], "--c1"),
+        (["cone", "--k", "2", "--dt", "inf"], "--dt"),
+        (["thin-domain", "--c", "inf"], "half_width"),
+        (["heat-content", "--model", "rect:1,1,nan,1"], "side lengths"),
+        (["heat-content", "--model", "rect:1,1,1,inf"], "side lengths"),
+        (["heat-content", "--model", "disk:0,1,nan"], "radius"),
+        (["heat-content", "--model", "disk:0,1,inf"], "radius"),
+    ])
+    def test_non_finite_value(self, capsys, tmp_path, argv, message):
+        # the --t and model cases ended in a traceback; cone and thin-domain
+        # passed, with an infinite allowance or tube
+        err = self._usage_error(capsys, argv, tmp_path)
+        assert message in err
+
+    @pytest.mark.parametrize("spec", ["torus:1,1,9", "cone:3,7", "disk:0,1,1,5",
+                                      "rect:1,1,1,1,9", "torus:1,,1"])
+    def test_model_spec_extra_or_empty(self, capsys, tmp_path, spec):
+        # each ran, without the dropped value
+        err = self._usage_error(capsys, ["ball-search", "--model", spec], tmp_path)
+        assert repr(spec) in err
+
     @pytest.mark.parametrize("c1", ["0", "-1"])
     def test_nonpositive_c1(self, capsys, tmp_path, c1):
         # --c1 -1 used to make the heat-content premise vacuous and report PASS
@@ -245,6 +286,20 @@ class TestExitCodes:
         text = read(tmp_path / "theorem1.report.txt").decode()
         assert "ratio_spread_across_modes = inf" in text
         assert "ratio-stable-across-modes = FAIL" in text
+
+    def test_theorem1_copies_a_failed_numpy_bool_check(self, tmp_path, monkeypatch):
+        # a certificate check given as numpy.False_ used to be left out
+        real = bounds.theorem1_certificate
+
+        def certificate(*args, **kwargs):
+            sub = real(*args, **kwargs)
+            sub.check("forced", np.False_, "numpy bool")
+            return sub
+
+        monkeypatch.setattr(bounds, "theorem1_certificate", certificate)
+        assert cli.main(["theorem1", "--modes", "1", "--grid", "32", "--steps", "16",
+                         "--out", str(tmp_path)]) == 1
+        assert "m1:forced = FAIL; numpy bool" in read(tmp_path / "theorem1.report.txt").decode()
 
     def test_theorem1_fits_only_modes_with_length(self, tmp_path):
         # at grid 4 the m = 4 mode is sampled on its zeros: nodal length 0
@@ -337,6 +392,29 @@ class TestArtifacts:
         assert "exact = 0.31191652" in text
 
 
+class TestConeExitLaw:
+    # the report of `cone --alpha` as the command wrote it before the exit
+    # law moved into bounds.cone_exit_law
+    ARGV = ["--alpha", "1.2", "--r", "3", "--paths", "1000", "--dt", "1e-2", "--no-bridge",
+            "--seed", "9"]
+    REPORT = (
+        "experiment = cone\n"
+        "claim = the closed-form cone exit law matches simulation\n"
+        "verdict = pass\n"
+        "[inputs]\nalpha = 1.2\ndt = 0.01\npaths = 1000\nr = 3\nseed = 9\n"
+        "[constants]\nmc = 0.071999999999999995\nmc_std_error = 0.0081781955762186866\n"
+        "[references]\nexact = 0.071672167616376126\n"
+        "[checks]\nexit-law = pass; |0.07200 - 0.07167| <= 3se + 0.1000\n")
+
+    def test_command_and_library_report(self, tmp_path):
+        assert cli.main(["cone", *self.ARGV, "--out", str(tmp_path / "cli")]) == 0
+        assert read(tmp_path / "cli" / "cone.report.txt").decode() == self.REPORT
+        cfg = PathEnsembleConfig(n_paths=1000, dt=1e-2, seed=9, bridge_correction=False)
+        rep = bounds.cone_exit_law(ConeSpec(alpha=1.2, r=3.0), cfg)
+        cli.emit_report(rep, str(tmp_path / "lib"))
+        assert read(tmp_path / "lib" / "cone.report.txt").decode() == self.REPORT
+
+
 class TestThinDomainTube:
     @pytest.mark.parametrize("spec,segment", [
         ("torus:1,1", ((0.0, 0.25), (1.0, 0.25))),
@@ -373,9 +451,9 @@ class TestWarningNotes:
                 return bounds.ExperimentReport(name=name, claim="stub")
             return run
 
-        for name in names:
-            monkeypatch.setitem(cli.DISPATCH, name, stub(name))
-        monkeypatch.setattr(cli, "_SUITE_JOBS", [(name, name) for name in names])
+        jobs = {name: cli.EXPERIMENTS[name]._replace(driver=stub(name), quick="", full="")
+                for name in names}
+        monkeypatch.setattr(cli, "EXPERIMENTS", {**jobs, "suite": cli.EXPERIMENTS["suite"]})
         filters, show = list(warnings.filters), warnings.showwarning
         assert cli.main(["suite", "--quick", "--threads", "2", "--out", str(tmp_path)]) == 0
         for name in names:

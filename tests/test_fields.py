@@ -66,6 +66,19 @@ class TestConstructors:
         with pytest.raises(InvalidParameterError):
             nh.make_cone_model(bad)
 
+    @pytest.mark.parametrize("build", [
+        lambda: nh.make_rectangle_eigenfunction(1, 1, float("nan"), 1.0),
+        lambda: nh.make_rectangle_eigenfunction(1, 1, 1.0, float("nan")),
+        lambda: nh.make_rectangle_eigenfunction(1, 1, float("inf"), 1.0),
+        lambda: nh.make_disk_eigenfunction(0, 1, float("nan")),
+        lambda: nh.make_disk_eigenfunction(0, 1, float("inf")),
+    ])
+    def test_non_finite_size_rejected(self, build):
+        # a NaN size made grid_for_model raise ValueError; an infinite one
+        # built a model with no frame
+        with pytest.raises(InvalidParameterError, match="finite"):
+            build()
+
     def test_invalid_rectangle_sides(self):
         with pytest.raises(InvalidParameterError):
             nh.make_rectangle_eigenfunction(1, 1, 0.0, 1.0)

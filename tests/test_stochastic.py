@@ -63,6 +63,17 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: PathEnsembleConfig(dt=math.inf),
+        lambda: nh.stochastic._steps_for(math.inf, PathEnsembleConfig(n_paths=100)),
+        lambda: nh.stochastic._steps_for(math.inf, PathEnsembleConfig(n_paths=100, dt=1.0)),
+    ])
+    def test_infinity_rejected(self, build):
+        # an infinite horizon raised ValueError or OverflowError from the step
+        # count, and an infinite dt passed as an infinite cone allowance
+        with pytest.raises(InvalidParameterError, match="finite"):
+            build()
+
     def test_dt_horizon_invariant(self):
         cfg = PathEnsembleConfig(n_paths=1000, dt=T / 10, seed=0)
         with pytest.raises(InvalidParameterError):
