@@ -166,8 +166,9 @@ class CorridorSpec:
     n_margin: int = 3
 
     def __post_init__(self):
-        if not self.lam_geom > 1:
-            raise InvalidParameterError("lam_geom must exceed 1")
+        if not 1 < self.lam_geom < math.inf:
+            raise InvalidParameterError(
+                f"lam_geom must exceed 1 and be finite, got {self.lam_geom}")
         if self.n_covered < 4 or self.n_margin < 1:
             raise InvalidParameterError("need at least 4 covered and 1 margin squares")
 

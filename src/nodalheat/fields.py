@@ -154,13 +154,6 @@ class EigenfunctionModel:
             return (-1.0, -1.0, 2.0, 2.0)
         raise InvalidParameterError(f"unknown model kind {self.kind!r}")
 
-    @property
-    def vanishing_order(self):
-        """Effective vanishing order at the apex; only the cone model has one."""
-        if self.kind == CONE:
-            return self.mode[0]
-        return None
-
 
 @dataclass(frozen=True)
 class NormBundle:

@@ -29,7 +29,7 @@ class TestParsing:
         m = cli.parse_model("rect:1,1,2.0,0.5")
         assert m.geometry == (2.0, 0.5)
         m = cli.parse_model("cone:4")
-        assert m.vanishing_order == 4
+        assert m.mode == (4,)
         m = cli.parse_model("disk:0,1")
         assert m.kind == "disk_bessel"
 
@@ -239,10 +239,13 @@ class TestExitCodes:
         (["heat-content", "--model", "rect:1,1,1,inf"], "side lengths"),
         (["heat-content", "--model", "disk:0,1,nan"], "radius"),
         (["heat-content", "--model", "disk:0,1,inf"], "radius"),
+        (["avoided-crossing", "--lam-geom", "inf"], "lam_geom"),
+        (["avoided-crossing", "--lam-geom", "1e400"], "lam_geom"),
     ])
     def test_non_finite_value(self, capsys, tmp_path, argv, message):
         # the --t and model cases ended in a traceback; cone and thin-domain
-        # passed, with an infinite allowance or tube
+        # passed, with an infinite allowance or tube; an infinite --lam-geom
+        # was blamed on the corridor's side lengths
         err = self._usage_error(capsys, argv, tmp_path)
         assert message in err
 

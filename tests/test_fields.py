@@ -56,7 +56,7 @@ class TestConstructors:
         c8 = nh.make_cone_model(8)
         r = 0.83
         assert float(c8.evaluate(r, 0.0)) == pytest.approx(r ** 8, rel=1e-12)
-        assert c8.vanishing_order == 8
+        assert c8.mode == (8,)
         assert c8.eigenvalue == 0.0
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])

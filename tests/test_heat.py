@@ -1,12 +1,15 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -844,3 +847,62 @@ class TestAdiTimeStepping:
                 for n in (16, 32, 64, 128)]
         assert gaps[0] < 1e-3
         self._assert_second_order(gaps)
+
+
+# Run in a fresh interpreter: this one has loaded both backends already.
+_FOOTPRINT = r"""
+import json, sys, threading
+import nodalheat as nh
+import nodalheat.bounds
+
+def loaded():
+    return sorted(m for m in ("scipy.fft", "scipy.linalg") if m in sys.modules)
+
+out = {"import": loaded()}
+torus = nh.make_torus_eigenfunction(1, 1)
+grid = nh.grid_for_model(torus, 32)
+cells = nh.label_nodal_domains(nh.sample_field(torus, grid))
+nh.estimate_hitting_probability(cells, nh.nodal.principal_label(cells, 1), (0.25, 0.25),
+                                1e-3, nh.PathEnsembleConfig(n_paths=200))
+nh.bounds.theorem1_certificate(torus, grid)
+out["walk_and_certificate"] = loaded()
+
+def ell_content():
+    grid = nh.GridSpec(nx=64, ny=64)
+    mask = nh.label_nodal_domains(
+        nh.indicator_field(grid, lambda x, y: (x < 0.5) | (y < 0.5)))
+    return nh.heat_content(mask, nh.nodal.principal_label(mask, 1), 2e-3, n_steps=24).hex()
+
+start = threading.Barrier(4)
+threaded = []
+def first_solve():
+    start.wait()
+    threaded.append(ell_content())
+threads = [threading.Thread(target=first_solve) for _ in range(4)]
+sys.setswitchinterval(1e-6)
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+out["threaded"] = threaded
+out["single"] = ell_content()
+out["after_solve"] = loaded()
+print(json.dumps(out))
+"""
+
+
+def test_backends_load_on_first_solve():
+    # LAPACK and the DST are loaded by the first solve that needs them: not
+    # by the import, nor by a grid walk or a torus certificate (rectangles,
+    # exact in time); and four threads racing to the first solve, and so to
+    # binding LAPACK, each get the bytes of a one-thread solve
+    env = dict(os.environ, PYTHONPATH=str(Path(nh.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["import"] == []
+    assert "scipy.linalg" not in out["walk_and_certificate"]
+    assert "scipy.linalg" in out["after_solve"]
+    assert out["threaded"] == [out["single"]] * 4
