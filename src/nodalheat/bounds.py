@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field as _dfield, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyDomainError, InvalidParameterError
 from .fields import (
@@ -425,7 +424,8 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
     literal_threshold = math.sqrt(math.pi) / (math.sqrt(2) * math.e)
     adjusted_threshold = math.sqrt(math.pi) / math.e
     escape_lower = 1 - math.sqrt(2 / math.pi) * c * kappa     # = 1 - c/sqrt(pi)
-    one_sided = float(special.erfc(c / 2))
+    from scipy.special import erfc
+    one_sided = float(erfc(c / 2))
     two_sided = interval_escape_exact(a, t)
     mc = escape_interval_mc(a, t, cfg)
     allow = mc_probability_allowance(t, cfg)

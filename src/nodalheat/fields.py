@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyDomainError, InvalidParameterError
 
@@ -43,7 +42,8 @@ CONE = "cone_harmonic"
 @lru_cache(maxsize=None)
 def _bessel_zero(m: int, k: int):
     """j_{m,k}, the k-th positive zero of J_m, computed once per (m, k)."""
-    return special.jn_zeros(m, k)[-1]
+    from scipy.special import jn_zeros
+    return jn_zeros(m, k)[-1]
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,13 @@ class EigenfunctionModel:
             a, b = self.geometry
             return np.sin(m * np.pi * x / a) * np.sin(n * np.pi * y / b)
         if self.kind == DISK:
+            from scipy.special import jv
             m, k = self.mode
             (radius,) = self.geometry
             j_mk = _bessel_zero(m, k)
             r = np.hypot(x, y)
             theta = np.arctan2(y, x)
-            return special.jv(m, j_mk * r / radius) * np.cos(m * theta)
+            return jv(m, j_mk * r / radius) * np.cos(m * theta)
         if self.kind == CONE:
             (k,) = self.mode
             z = x + 1j * y
@@ -104,6 +105,7 @@ class EigenfunctionModel:
             cy = (n * np.pi / b) * np.sin(m * np.pi * x / a) * np.cos(n * np.pi * y / b)
             return cx, cy
         if self.kind == DISK:
+            from scipy.special import jv, jvp
             m, k = self.mode
             (radius,) = self.geometry
             j_mk = _bessel_zero(m, k)
@@ -112,8 +114,8 @@ class EigenfunctionModel:
             s = j_mk / radius
             # avoid 0/0 at the origin; the true gradient there is finite
             r_safe = np.where(r == 0, 1.0, r)
-            du_dr = s * special.jvp(m, s * r) * np.cos(m * theta)
-            du_dt = -m * special.jv(m, s * r) * np.sin(m * theta)
+            du_dr = s * jvp(m, s * r) * np.cos(m * theta)
+            du_dt = -m * jv(m, s * r) * np.sin(m * theta)
             gx = du_dr * x / r_safe - du_dt * y / r_safe ** 2
             gy = du_dr * y / r_safe + du_dt * x / r_safe ** 2
             if m == 1:

@@ -30,13 +30,12 @@ the cell centers.  Each domain shape has one solver:
 
 The solver backends load on first use, not at import: LAPACK (scipy.linalg)
 is bound at the first factorization, and scipy.fft's DST is imported at
-the first rectangle transform.  A command that never factors (the path
-engines; torus certificates, whose sign cells are rectangles) never loads
-LAPACK.  Deferring both cut a fresh `import nodalheat, nodalheat.bounds`
-from 65.2 to 57.9 MB resident and from 0.38 to 0.34 s (medians of 9,
-2 vCPUs, scipy 1.17).  scipy.ndimage (labeling, in every command) and
-scipy.special stay eager: ndimage already loads the array-API layer of
-SciPy that special shares, so deferring either would save nothing.
+the first rectangle field transform.  A rectangle's heat content takes the
+DST-II of ones in closed form (_ones_dst), so the path engines and torus
+certificates, whose sign cells are rectangles, load neither.  No module of
+the package imports SciPy at import time: labeling runs on numpy, and
+scipy.ndimage (the EDT) and scipy.special (Bessel functions, erfc, ndtr)
+are imported by the functions that call them.
 
 Dirichlet data is anchored at cell faces via ghost extrapolation
 (ghost = 2 g - u), so the absorbing wall sits exactly on the boundary of the
@@ -116,9 +115,8 @@ def _lapack(name: str, n_args: int):
     passed by address.  The capsule functions get prototypes of their own
     rather than argtypes set on the process-wide ctypes.pythonapi.
     scipy.linalg is imported here, at the first factorization (through
-    _pttr), so a process that never factors never loads it; scipy.fft
-    waits likewise for the first rectangle transform, while ndimage and
-    special stay eager (see the module docstring).
+    _pttr), so a process that never factors never loads it (see the module
+    docstring).
     """
     from scipy.linalg import cython_lapack
 
@@ -358,10 +356,12 @@ class _RunVector(_Runs):
 @functools.lru_cache(maxsize=256)
 def _ones_dst(n: int) -> np.ndarray:
     """DST-II (ortho) of n ones, read-only: every rectangle side of n cells
-    shares it.  scipy.fft is imported at the first rectangle."""
-    from scipy.fft import dst
-
-    s = dst(np.ones(n), type=2, norm="ortho")
+    shares it.  Closed form, as sum_j sin((2j+1) t) = sin^2(n t) / sin(t):
+    s_k = sqrt(2/n) / sin(pi (k+1) / 2n) for even k, 0 for odd k, and the
+    ortho scaling puts 1/sqrt(2) on the last entry."""
+    s = np.zeros(n)
+    s[::2] = np.sqrt(2 / n) / np.sin(np.pi * np.arange(1, n + 1, 2) / (2 * n))
+    s[-1] *= np.sqrt(0.5)
     s.flags.writeable = False
     return s
 

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidParameterError, ResolutionWarning
 from .nodal import DomainMask, _cell_index, _ghost_table, interpolate_with_gradient
@@ -384,7 +383,8 @@ def xi_evolution(model, mask: DomainMask, label: int, x, t: float,
 
 def halfplane_hitting_exact(d: float, t: float) -> float:
     """P(hit a wall at distance d within t) = erfc(d / (2 sqrt(t)))."""
-    return float(special.erfc(d / (2 * math.sqrt(t))))
+    from scipy.special import erfc
+    return float(erfc(d / (2 * math.sqrt(t))))
 
 
 def _line_walk(lo: float, hi: float, t: float, cfg: PathEnsembleConfig, stream):
@@ -412,6 +412,7 @@ def sup_hitting_check(a: float, t: float, cfg: PathEnsembleConfig) -> SupHitting
 
 def interval_escape_exact(a: float, t: float) -> float:
     """P(sup_{s<=t} |B(s)| > a), image-series closed form (variance 2t)."""
+    from scipy.special import ndtr
     if not (a > 0 and t > 0):
         raise InvalidParameterError("need a > 0 and t > 0")
     sigma = math.sqrt(2 * t)
@@ -419,7 +420,7 @@ def interval_escape_exact(a: float, t: float) -> float:
     k = np.arange(-k_max, k_max + 1)
     upper = (2 * k + 1) * a / sigma
     lower = (2 * k - 1) * a / sigma
-    survive = np.sum((-1.0) ** k * (special.ndtr(upper) - special.ndtr(lower)))
+    survive = np.sum((-1.0) ** k * (ndtr(upper) - ndtr(lower)))
     return float(np.clip(1.0 - survive, 0.0, 1.0))
 
 

@@ -6,10 +6,12 @@ test prints a single PASS line with its headline numbers and elapsed time
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import nodalheat as nh
@@ -269,10 +271,13 @@ def test_09_conjecture_sweeps():
 
 def test_10_determinism(tmp_path):
     with _Budget("10 determinism", 300):
+        # run from the source tree, as an uninstalled checkout is tested
+        env = dict(os.environ, PYTHONPATH=str(Path(nh.__file__).parents[1]))
+
         def run(out, threads):
             cmd = [sys.executable, "-m", "nodalheat.cli", "suite", "--quick",
                    "--threads", str(threads), "--out", str(out)]
-            res = subprocess.run(cmd, capture_output=True, text=True)
+            res = subprocess.run(cmd, env=env, capture_output=True, text=True)
             assert res.returncode == 0, res.stdout + res.stderr
 
         def snapshot(out):

@@ -145,7 +145,8 @@ class TestTheorem1Bytes:
     """float.hex of every constant and sha256 of the per-domain table of
     theorem1_certificate, recorded when each domain's norms still came from
     its own model evaluation; one whole-field evaluation must reproduce
-    them."""
+    them.  The ratios and tables rest, to the last bit, on rectangle heat
+    contents from the closed-form DST-II of ones (heat._ones_dst)."""
 
     PINNED = {
         "torus:1,1": (
@@ -153,10 +154,10 @@ class TestTheorem1Bytes:
              "sum_boundary_lengths": "0x1.0000000000000p+3",
              "certificate_sup_form": "0x1.cd0df55b26209p+1",
              "certificate_grad_form": "0x1.4603c875197afp+2",
-             "ratio_min": "0x1.0b7c142190924p+1",
-             "ratio_max": "0x1.0b7c142190925p+1",
+             "ratio_min": "0x1.0b7c142190923p+1",
+             "ratio_max": "0x1.0b7c142190924p+1",
              "n_domains": 4},
-            "60ae37e1afb24a365db50b535109db4c861911c5098ae1de58d1116af89a6917"),
+            "786b3b164833ada4a3ebb3bbd6c77486a663a3331dbd79dfcc01fc742eec3cdf"),
         "torus:2,2": (
             {"nodal_length": "0x1.0000000000000p+3",
              "sum_boundary_lengths": "0x1.0000000000000p+4",
@@ -171,10 +172,10 @@ class TestTheorem1Bytes:
              "sum_boundary_lengths": "0x1.82cc54b4752fep+4",
              "certificate_sup_form": "0x1.59ee09e59ed3fp+3",
              "certificate_grad_form": "0x1.e948bcb561fa2p+3",
-             "ratio_min": "0x1.052975222323ap+1",
-             "ratio_max": "0x1.0e29e574f14e4p+1",
+             "ratio_min": "0x1.0529752223239p+1",
+             "ratio_max": "0x1.0e29e574f14e3p+1",
              "n_domains": 36},
-            "fd60d472fe56e5b85c6cc9c3b4c6dd91b6742189b8efb989db08faa5a6535090"),
+            "6626b9ed0c54c79985ae6903af32ae516ab2858e601efc0539674a4ab63c7eff"),
         "torus:4,4": (
             {"nodal_length": "0x1.0000000000000p+4",
              "sum_boundary_lengths": "0x1.0000000000000p+5",
@@ -190,9 +191,9 @@ class TestTheorem1Bytes:
              "certificate_sup_form": "0x1.59c2c5581ea12p+2",
              "certificate_grad_form": "0x1.e8f3aa795dfe3p+2",
              "ratio_min": "0x1.0704d92248dc2p+1",
-             "ratio_max": "0x1.0faf24122a687p+1",
+             "ratio_max": "0x1.0faf24122a685p+1",
              "n_domains": 6},
-            "98a291e77a5e6f376fffb6b4923b6e52348a20b10329fcc5e9e949f9a3e05123"),
+            "b8e4b2125d3b90dddda64df9d2f53aa1e4a5dc0993622d7bf04f42729d940b17"),
         "disk:2,1": (
             {"nodal_length": "0x1.50ff49c63ae06p+3",
              "sum_boundary_lengths": "0x1.ce2b35f96af88p+4",

@@ -287,10 +287,11 @@ class TestAxesEvaluation:
             assert np.array_equal(np.broadcast_to(y, ys.shape), ys)
 
     def test_bessel_zero_computed_once(self, monkeypatch):
+        from scipy import special
         from nodalheat import fields
         calls = []
-        inner = fields.special.jn_zeros
-        monkeypatch.setattr(fields.special, "jn_zeros",
+        inner = special.jn_zeros
+        monkeypatch.setattr(special, "jn_zeros",
                             lambda m, k: calls.append((m, k)) or inner(m, k))
         fields._bessel_zero.cache_clear()
         model = nh.make_disk_eigenfunction(3, 2)

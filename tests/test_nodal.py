@@ -320,9 +320,27 @@ class TestLabeling:
                 split = np.take(open_labels, 0, axis) != np.take(open_labels, -1, axis)
                 assert np.any(same_sign & joined & split)
 
+    @pytest.mark.parametrize("periodic", PERIODICITIES)
+    def test_run_extremes_match_flood_fill_reference(self, periodic):
+        # checkerboards, where every cell is its own run (on an odd width a
+        # periodic x joins each row's ends); whole rows and columns of exact
+        # zeros, at the seams and inside; and one sign everywhere, where a
+        # row's first and last run are one run
+        fields = []
+        for ny, nx in ((12, 18), (13, 17)):
+            iy, ix = np.indices((ny, nx))
+            fields.append(np.where((iy + ix) % 2 == 0, 1.0, -1.0))
+        v = np.random.default_rng(5).standard_normal((12, 18))
+        v[[0, 6], :] = 0.0
+        v[:, [0, 9, 17]] = 0.0
+        fields += [v, np.ones((12, 18)), -np.ones((13, 17))]
+        for v in fields:
+            _assert_flood_fill_labels(v, periodic)
+
     def test_label_peak_memory(self):
-        # whole-field int32 passes: the peak allocation stays near 2x the
-        # field's float64 bytes, the mask's labels included
+        # the whole-field arrays are int8 signs, a bool run-start flag and
+        # the int32 labels, so the peak allocation of a resolved field stays
+        # well under 3.5x its float64 bytes, the mask's labels included
         model = nh.make_torus_eigenfunction(4, 4)
         field = nh.sample_field(model, nh.grid_for_model(model, 512))
         tracemalloc.start()
@@ -544,7 +562,9 @@ def _whole_grid_edt(mask, label):
               else np.pad(sel, ((1, 1), (0, 0)), constant_values=False))
     inside = (np.tile(inside, (1, 3)) if grid.periodic_x
               else np.pad(inside, ((0, 0), (1, 1)), constant_values=False))
-    dist = nh.nodal.ndimage.distance_transform_edt(inside)
+    from scipy import ndimage
+
+    dist = ndimage.distance_transform_edt(inside)
     y_off = grid.ny if grid.periodic_y else 1
     x_off = grid.nx if grid.periodic_x else 1
     core = dist[y_off:y_off + grid.ny, x_off:x_off + grid.nx]
@@ -586,6 +606,14 @@ class TestBoxEdt:
         for k in range(1, mask.n_labels + 1):
             got = nh.nodal.distance_to_boundary_map(mask, k)
             assert got.tobytes() == _whole_grid_edt(mask, k).tobytes(), (name, k)
+
+    def test_boxes_match_find_objects(self):
+        # the row-run boxes equal scipy's find_objects, seam domains included
+        from scipy import ndimage
+
+        for name, mask in _edt_masks().items():
+            boxes = [mask.box(k) for k in range(1, mask.n_labels + 1)]
+            assert boxes == ndimage.find_objects(mask.labels, max_label=mask.n_labels), name
 
     def test_seam_domains_present(self):
         # the cases above hold domains whose boxes span a periodic axis
