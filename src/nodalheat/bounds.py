@@ -406,9 +406,16 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
     kappa = 1/sqrt(2) folded in).  When that lower bound exceeds
     1 - exp(-lambda t), no nodal domain fits inside the tube.  The report
     also measures which nodal domains of the model actually fit.  Along a
-    periodic axis of the model the segment may span at most one period.
+    periodic axis of the model the segment may span at most one period,
+    and the tube must be narrower than the frame: a half-width of half the
+    frame's smaller extent or more covers it, and is refused.
     """
     (x0, y0), (x1, y1) = tube.segment
+    cover = min(model.frame[2:]) / 2
+    if tube.half_width >= cover:
+        raise InvalidParameterError(
+            f"half_width {tube.half_width:.4g} must be below half the frame's "
+            f"smaller extent, {cover:.4g}; a tube that wide covers the frame")
     for periodic, extent, period in zip(model.periodic, (abs(x1 - x0), abs(y1 - y0)),
                                         model.frame[2:]):
         if periodic and extent > period * (1 + 1e-12):

@@ -33,9 +33,9 @@ is bound at the first factorization, and scipy.fft's DST is imported at
 the first rectangle field transform.  A rectangle's heat content takes the
 DST-II of ones in closed form (_ones_dst), so the path engines and torus
 certificates, whose sign cells are rectangles, load neither.  No module of
-the package imports SciPy at import time: labeling runs on numpy, and
-scipy.ndimage (the EDT) and scipy.special (Bessel functions, erfc, ndtr)
-are imported by the functions that call them.
+the package imports SciPy at import time, and SciPy loads only for LAPACK,
+the DST and scipy.special (Bessel functions, erfc, ndtr), each imported by
+the function that calls it; labeling and the EDT run on numpy.
 
 Dirichlet data is anchored at cell faces via ghost extrapolation
 (ghost = 2 g - u), so the absorbing wall sits exactly on the boundary of the

@@ -373,6 +373,11 @@ class TestThinDomain:
             with pytest.raises(InvalidParameterError, match="period"):
                 thin_domain_check(torus11, TubeSpec(segment=seg, half_width=0.05),
                                   cfg=cfg, grid_n=64)
+        # a tube of half the frame's smaller extent covers the frame
+        for m, width in ((torus11, 0.5), (model, 0.5), (torus11, 1e299)):
+            with pytest.raises(InvalidParameterError, match="covers the frame"):
+                thin_domain_check(m, TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)),
+                                              half_width=width), cfg=cfg, grid_n=64)
 
     def test_degenerate_width_escapes_certainly(self, torus11):
         tube = TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=1e-4)

@@ -880,6 +880,13 @@ nh.estimate_hitting_probability(cells, nh.nodal.principal_label(cells, 1), (0.25
                                 1e-3, nh.PathEnsembleConfig(n_paths=200))
 nh.bounds.theorem1_certificate(torus, grid)
 out["walk_and_certificate"] = loaded()
+t = 1 / torus.eigenvalue
+nh.bounds.check_comparison_lemma(torus, cells, 1, None, t,
+                                 nh.PathEnsembleConfig(n_paths=200, dt=t / 100))
+ell = nh.label_nodal_domains(nh.indicator_field(nh.GridSpec(nx=64, ny=64),
+                                                lambda x, y: (x < 0.5) | (y < 0.5)))
+nh.domain_inradius(ell, nh.nodal.principal_label(ell, 1))
+out["comparison_and_inradius"] = loaded()
 
 def ell_content():
     grid = nh.GridSpec(nx=64, ny=64)
@@ -909,7 +916,8 @@ print(json.dumps(out))
 def test_backends_load_on_first_solve():
     # no SciPy module is loaded by the import, nor by a grid walk or a torus
     # certificate (numpy labeling; rectangles, exact in time, with the DST
-    # of ones in closed form); LAPACK is loaded by the first solve that
+    # of ones in closed form), nor by the comparison lemma or the inradius
+    # of an ell (the EDT is numpy); LAPACK is loaded by the first solve that
     # needs it; and four threads racing to the first solve, and so to
     # binding LAPACK, each get the bytes of a one-thread solve
     env = dict(os.environ, PYTHONPATH=str(Path(nh.__file__).parents[1]))
@@ -919,5 +927,6 @@ def test_backends_load_on_first_solve():
     out = json.loads(run.stdout)
     assert out["import"] == []
     assert out["walk_and_certificate"] == []
+    assert out["comparison_and_inradius"] == []
     assert "scipy.linalg" in out["after_solve"]
     assert out["threaded"] == [out["single"]] * 4

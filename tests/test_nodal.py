@@ -625,6 +625,129 @@ class TestBoxEdt:
                        for k in range(1, mask.n_labels + 1)), (name, axis)
 
 
+def _ndimage_edt(inside):
+    from scipy import ndimage
+
+    return ndimage.distance_transform_edt(inside)
+
+
+def _boxed(sel, periodic):
+    """sel as distance_to_boundary_map hands its box to the transform: tiled
+    three times along a periodic axis, ringed by outside cells otherwise."""
+    periodic_x, periodic_y = periodic
+    inside = (np.tile(sel, (3, 1)) if periodic_y
+              else np.pad(sel, ((1, 1), (0, 0)), constant_values=False))
+    return (np.tile(inside, (1, 3)) if periodic_x
+            else np.pad(inside, ((0, 0), (1, 1)), constant_values=False))
+
+
+def _checkerboard(ny, nx):
+    return np.add.outer(np.arange(ny), np.arange(nx)) % 2 == 0
+
+
+class TestNumpyEdt:
+    """nodal._edt equals scipy.ndimage.distance_transform_edt bit for bit;
+    ndimage is the oracle here only, the package never imports it."""
+
+    @pytest.mark.parametrize("periodic", PERIODICITIES)
+    def test_random_masks(self, periodic):
+        rng = np.random.default_rng(20260808)
+        for _ in range(60):
+            sel = rng.random(rng.integers(1, 40, size=2)) < rng.uniform(0.2, 1.0)
+            inside = _boxed(sel, periodic)
+            got = nh.nodal._edt(inside)
+            if inside.all():
+                assert np.isinf(got).all()
+            else:
+                assert got.tobytes() == _ndimage_edt(inside).tobytes(), sel.shape
+
+    @pytest.mark.parametrize("periodic", PERIODICITIES)
+    def test_random_domains(self, periodic):
+        # every domain of a random mask against the whole-grid transform
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            ny, nx = (int(n) for n in rng.integers(2, 30, size=2))
+            grid = nh.GridSpec(nx=nx, ny=ny, extent_x=nx / ny, periodic_x=periodic[0],
+                               periodic_y=periodic[1])
+            mask = nh.label_nodal_domains(
+                nh.indicator_field(grid, rng.random((ny, nx)) < rng.uniform(0.3, 0.9)))
+            for k in range(1, mask.n_labels + 1):
+                if not mask.cells(k).all():
+                    got = nh.nodal.distance_to_boundary_map(mask, k)
+                    assert got.tobytes() == _whole_grid_edt(mask, k).tobytes(), (ny, nx, k)
+
+    _THIN = {
+        "column": np.ones((37, 1), dtype=bool),
+        "row": np.ones((1, 41), dtype=bool),
+        "cell": np.ones((1, 1), dtype=bool),
+        "cross": np.add.outer(np.arange(25) == 12, np.arange(31) == 7) > 0,
+        "diagonal": np.eye(29, dtype=bool),
+        "checkerboard": _checkerboard(33, 47),
+        "checker_and_lines": _checkerboard(20, 20) | (np.arange(20) % 5 == 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_THIN))
+    @pytest.mark.parametrize("periodic", PERIODICITIES)
+    def test_thin_domains_and_checkerboards(self, name, periodic):
+        inside = _boxed(self._THIN[name], periodic)
+        got = nh.nodal._edt(inside)
+        if inside.all():
+            assert np.isinf(got).all()
+        else:
+            assert got.tobytes() == _ndimage_edt(inside).tobytes()
+
+    def test_checkerboard_domains_are_cells(self):
+        # on a torus checkerboard every domain is one cell, h/2 from its complement
+        grid = nh.GridSpec(nx=16, ny=16, periodic_x=True, periodic_y=True)
+        mask = nh.label_nodal_domains(nh.indicator_field(grid, _checkerboard(16, 16)))
+        assert mask.n_labels == 256
+        for k in (1, 17, 256):
+            dist = nh.nodal.distance_to_boundary_map(mask, k)
+            assert dist[mask.cells(k)].tolist() == [grid.h / 2]
+            assert dist.tobytes() == _whole_grid_edt(mask, k).tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_boxes_tiled_across_a_seam(self, axis):
+        # lines of the box all inside: tiled along y, a full column has no
+        # outside cell (infinite column distance, left out of the row pass);
+        # tiled along x, a full row has none along the row
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            sel = rng.random(rng.integers(2, 30, size=2)) < 0.6
+            lines = rng.random(sel.shape[1 - axis]) < 0.3
+            if axis == 0:
+                sel[:, lines] = True
+            else:
+                sel[lines, :] = True
+            inside = _boxed(sel, (axis == 1, axis == 0))
+            if not inside.all():
+                assert nh.nodal._edt(inside).tobytes() == _ndimage_edt(inside).tobytes()
+
+    def test_seam_band_and_ell(self):
+        # each box of the seam band tiled as distance_to_boundary_map tiles
+        # it (both axes spanned, full columns inside), and the 512^2 ell of
+        # the fd workload
+        band = _edt_masks()["band"]
+        for k in range(1, band.n_labels + 1):
+            box = band.box(k)
+            sel = band.labels[box] == k
+            inside = _boxed(sel, (sel.shape[1] == band.grid.nx, sel.shape[0] == band.grid.ny))
+            assert nh.nodal._edt(inside).tobytes() == _ndimage_edt(inside).tobytes()
+        ell = np.pad(np.ones((512, 512), dtype=bool), 1)
+        ell[257:-1, 257:-1] = False
+        assert nh.nodal._edt(ell).tobytes() == _ndimage_edt(ell).tobytes()
+
+    def test_domain_without_boundary(self):
+        # a domain filling a doubly periodic grid has no outside cell: its
+        # distance is inf, where a transform of an array without background
+        # gave 2.7533
+        grid = nh.GridSpec(nx=16, ny=16, periodic_x=True, periodic_y=True)
+        mask = nh.label_nodal_domains(nh.indicator_field(grid, np.ones((16, 16), dtype=bool)))
+        assert mask.n_labels == 1
+        assert np.isinf(nh.nodal.distance_to_boundary_map(mask, 1)).all()
+        assert nh.domain_inradius(mask, 1) == np.inf
+
+
 @pytest.fixture
 def contour_calls(monkeypatch):
     """Counts the calls of the marching-squares pass, by whoever makes them."""
