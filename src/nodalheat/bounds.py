@@ -408,16 +408,18 @@ def thin_domain_check(model: EigenfunctionModel, tube: TubeSpec,
     also measures which nodal domains of the model actually fit.  Along a
     periodic axis of the model the segment may span at most one period,
     and the tube must be narrower than the frame: a half-width of half the
-    frame's smaller extent or more covers it, and is refused.
+    frame's extent across the segment or more spans it, and is refused.
     """
     (x0, y0), (x1, y1) = tube.segment
-    cover = min(model.frame[2:]) / 2
-    if tube.half_width >= cover:
+    ex, ey = model.frame[2:]
+    dx, dy = abs(x1 - x0), abs(y1 - y0)
+    # the frame's extent along the segment's normal; any direction for a point
+    across = (dy * ex + dx * ey) / math.hypot(dx, dy) if dx or dy else min(ex, ey)
+    if tube.half_width >= across / 2:
         raise InvalidParameterError(
             f"half_width {tube.half_width:.4g} must be below half the frame's "
-            f"smaller extent, {cover:.4g}; a tube that wide covers the frame")
-    for periodic, extent, period in zip(model.periodic, (abs(x1 - x0), abs(y1 - y0)),
-                                        model.frame[2:]):
+            f"extent across the segment, {across / 2:.4g}; a tube that wide spans the frame")
+    for periodic, extent, period in zip(model.periodic, (dx, dy), (ex, ey)):
         if periodic and extent > period * (1 + 1e-12):
             raise InvalidParameterError(
                 "segment extent must be at most the period along a periodic axis")

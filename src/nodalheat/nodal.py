@@ -713,7 +713,11 @@ def _edt(inside: np.ndarray) -> np.ndarray:
     # it crosses at or left of that top's own crossing; only rows that pop
     # are touched, and an untouched top below i is parabola i - 1
     sf, af = s.ravel(), ac.ravel()
-    prev = dead = None          # flat index of the parabola below; popped
+    # from the first pop: prev[i * ny + y], the flat index of the parabola
+    # below parabola i on row y's stack, and dead, the parabolas popped
+    prev = dead = None
+    # a row pops at i only where s[i] <= s[i - 1] as first computed, or
+    # where a pop at i - 1 moved s[i - 1]; other iterations are skipped
     maybe = (s[2:] <= s[1:-1]).any(axis=1).tolist()
     popped = False
     for i in range(2, n):

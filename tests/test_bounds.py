@@ -373,11 +373,15 @@ class TestThinDomain:
             with pytest.raises(InvalidParameterError, match="period"):
                 thin_domain_check(torus11, TubeSpec(segment=seg, half_width=0.05),
                                   cfg=cfg, grid_n=64)
-        # a tube of half the frame's smaller extent covers the frame
+        # a tube of half-width half the frame's height spans the frame
         for m, width in ((torus11, 0.5), (model, 0.5), (torus11, 1e299)):
-            with pytest.raises(InvalidParameterError, match="covers the frame"):
+            with pytest.raises(InvalidParameterError, match="spans the frame"):
                 thin_domain_check(m, TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)),
                                               half_width=width), cfg=cfg, grid_n=64)
+        # across a vertical segment the 2 x 1 rectangle is 2 wide
+        rep = thin_domain_check(model, TubeSpec(segment=((0.5, 0.0), (0.5, 1.0)),
+                                                half_width=0.6), cfg=cfg, grid_n=64)
+        assert rep.inputs["half_width"] == 0.6
 
     def test_degenerate_width_escapes_certainly(self, torus11):
         tube = TubeSpec(segment=((0.0, 0.25), (1.0, 0.25)), half_width=1e-4)

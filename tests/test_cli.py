@@ -255,10 +255,10 @@ class TestExitCodes:
         ["thin-domain", "--model", "rect:1,1,2,1", "--c", "1.8"],
     ])
     def test_tube_covering_the_frame(self, capsys, tmp_path, argv):
-        # a half-width of half the frame's smaller extent or more passed
+        # a half-width of half the frame's height or more passed
         # (--c 1e300 gave half_width 1.1e299 and verdict pass)
         err = self._usage_error(capsys, argv + ["--paths", "200", "--grid", "32"], tmp_path)
-        assert "half_width" in err and "covers the frame" in err
+        assert "half_width" in err and "spans the frame" in err
 
     @pytest.mark.parametrize("spec", ["torus:1,1,9", "cone:3,7", "disk:0,1,1,5",
                                       "rect:1,1,1,1,9", "torus:1,,1"])
